@@ -42,8 +42,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo test --doc (workspace doc-tests)"
 cargo test -q --workspace --doc
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace (includes the snbc CLI binary the smoke legs run)"
+cargo build --release --workspace
 
 echo "==> cargo test -q (workspace, default parallelism)"
 cargo test -q --workspace
@@ -51,11 +51,12 @@ cargo test -q --workspace
 echo "==> cargo test -q (workspace, SNBC_THREADS=1 — guaranteed-serial leg)"
 SNBC_THREADS=1 cargo test -q --workspace
 
-echo "==> cargo test -q --features sanitize (solver + SOS + par + trace crates)"
+echo "==> cargo test -q --features sanitize (solver + SOS + par + trace crates, learner)"
 cargo test -q -p snbc-linalg -p snbc-lp -p snbc-sdp --features snbc-linalg/sanitize
 cargo test -q -p snbc-sos --features sanitize
 cargo test -q -p snbc-par --features sanitize
 cargo test -q -p snbc-trace --features sanitize
+cargo test -q -p snbc --lib --features sanitize
 
 echo "==> snbc-bench check (run-report regression gate, strict then loose)"
 SNBC_THREADS=1 cargo run -q --release -p snbc-bench --bin snbc-bench -- check

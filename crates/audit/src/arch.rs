@@ -6,8 +6,8 @@
 //! (bottom-up): `trace` is the bottom-most leaf; `telemetry` and `par` sit
 //! just above it and are usable from any layer;
 //! `linalg` → {`lp`, `sdp`} → `sos`; `poly` → {`sos`, `interval`, `nn`,
-//! `dynamics`}; `autodiff` → `nn`;
-//! {`sos`,`interval`,`nn`,`dynamics`} → `core` → `baselines` → `bench`.
+//! `dynamics`}; {`sos`,`interval`,`nn`,`dynamics`} → `core` → `baselines` →
+//! `bench`.
 //! A crate may depend on any crate strictly below it in that layering; the
 //! table lists the full transitive allowance per crate so the check is a
 //! simple subset test.
@@ -40,7 +40,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
     const NN: &[&str] = &[
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-interval",
     ];
     const DYNAMICS: &[&str] = &["snbc-linalg", "snbc-poly"];
@@ -51,7 +50,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
         "snbc-par",
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-lp",
         "snbc-sdp",
         "snbc-sos",
@@ -65,7 +63,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
         "snbc-par",
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-lp",
         "snbc-sdp",
         "snbc-sos",
@@ -81,7 +78,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
         "snbc-par",
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-lp",
         "snbc-sdp",
         "snbc-sos",
@@ -111,7 +107,6 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
         "snbc-par",
         "snbc-linalg",
         "snbc-poly",
-        "snbc-autodiff",
         "snbc-lp",
         "snbc-sdp",
         "snbc-sos",
@@ -124,7 +119,7 @@ pub fn allowed_internal(crate_dir: &str) -> Option<&'static [&'static str]> {
     ];
 
     Some(match crate_dir {
-        "linalg" | "poly" | "autodiff" | "audit" | "trace" => FOUNDATION,
+        "linalg" | "poly" | "audit" | "trace" => FOUNDATION,
         "telemetry" | "par" | "metrics" => OBSERVABILITY,
         "lp" | "sdp" => SOLVER_CORE,
         "sos" => SOS,

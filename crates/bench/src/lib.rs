@@ -120,29 +120,9 @@ pub fn run_tool_recorded(
     match tool {
         Tool::Snbc => {
             let cfg = snbc_config_for(bench, time_limit);
-            match Snbc::new(cfg).with_telemetry(telemetry).synthesize(bench, controller) {
-                Ok(r) => SynthesisReport {
-                    tool: "SNBC",
-                    benchmark: bench.name.to_string(),
-                    success: true,
-                    barrier_degree: Some(r.barrier.degree()),
-                    iterations: r.iterations,
-                    t_learn: r.t_learn,
-                    t_cex: r.t_cex,
-                    t_verify: r.t_verify,
-                    t_total: r.t_total,
-                    barrier: Some(r.barrier),
-                    failure: None,
-                },
-                Err(SnbcError::Timeout { elapsed }) => SynthesisReport::failed(
-                    "SNBC",
-                    bench.name,
-                    0,
-                    Duration::from_secs_f64(elapsed),
-                    "OT",
-                ),
-                Err(e) => SynthesisReport::failed("SNBC", bench.name, 0, time_limit, e.to_string()),
-            }
+            let start = snbc_trace::Stopwatch::start();
+            let outcome = Snbc::new(cfg).with_telemetry(telemetry).synthesize(bench, controller);
+            snbc_report(bench.name, outcome, start.elapsed())
         }
         Tool::Fossil => {
             let inclusion = shared_inclusion(bench, controller);
@@ -167,6 +147,42 @@ pub fn run_tool_recorded(
                 ..Default::default()
             };
             SosTools::new(cfg).synthesize(bench, &inclusion)
+        }
+    }
+}
+
+/// Maps an SNBC synthesis outcome to the uniform report. A failed run
+/// reports the wall time it took (`elapsed`, or the budget-trip time a
+/// timeout carries) rather than the budget, and an exhausted CEGIS loop
+/// reports the rounds it ran.
+pub fn snbc_report(
+    benchmark: &str,
+    outcome: Result<snbc::SnbcResult, SnbcError>,
+    elapsed: Duration,
+) -> SynthesisReport {
+    match outcome {
+        Ok(r) => SynthesisReport {
+            tool: "SNBC",
+            benchmark: benchmark.to_string(),
+            success: true,
+            barrier_degree: Some(r.barrier.degree()),
+            iterations: r.iterations,
+            t_learn: r.t_learn,
+            t_cex: r.t_cex,
+            t_verify: r.t_verify,
+            t_total: r.t_total,
+            barrier: Some(r.barrier),
+            failure: None,
+        },
+        Err(SnbcError::Timeout { elapsed }) => {
+            SynthesisReport::failed("SNBC", benchmark, 0, Duration::from_secs_f64(elapsed), "OT")
+        }
+        Err(e) => {
+            let rounds = match e {
+                SnbcError::IterationsExhausted { iterations, .. } => iterations,
+                _ => 0,
+            };
+            SynthesisReport::failed("SNBC", benchmark, rounds, elapsed, e.to_string())
         }
     }
 }
@@ -309,6 +325,22 @@ mod tests {
         assert_eq!(Tool::parse("nnc"), Some(Tool::NncChecker));
         assert_eq!(Tool::parse("sostools"), Some(Tool::SosTools));
         assert_eq!(Tool::parse("z3"), None);
+    }
+
+    #[test]
+    fn exhausted_snbc_run_reports_elapsed_time_and_rounds() {
+        let outcome = Err(SnbcError::IterationsExhausted {
+            iterations: 25,
+            best_margin: -0.1,
+        });
+        let r = snbc_report("C4", outcome, Duration::from_secs(40));
+        assert!(!r.success);
+        assert_eq!(r.iterations, 25);
+        assert_eq!(r.t_total, Duration::from_secs(40));
+        assert!(r.failure.expect("failure text").contains("25 CEGIS iterations"));
+        let config =
+            snbc_report("C4", Err(SnbcError::Config("bad".into())), Duration::from_secs(2));
+        assert_eq!((config.iterations, config.t_total), (0, Duration::from_secs(2)));
     }
 
     #[test]

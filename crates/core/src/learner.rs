@@ -2,7 +2,6 @@
 //! the multiplier network `λ(x)` with the LeakyReLU surrogate of loss (10).
 
 use rand::SeedableRng;
-use snbc_autodiff::Tape;
 use snbc_dynamics::Ccds;
 use snbc_nn::{Adam, MultiplierNet, QuadraticNet};
 use snbc_poly::Polynomial;
@@ -44,7 +43,7 @@ impl TrainingSets {
 
 /// Which sample set a chunk job draws from (scales index into the
 /// `(η₁, η₂, η₃)` weights by this discriminant).
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Domain,
     Init,
@@ -77,6 +76,134 @@ fn reduce_epoch(
         }
     }
     hinge
+}
+
+/// Loss (10) over one round's samples, with the closed-loop field fixed at
+/// every domain sample for both controller-error extremes `w = ∓σ*`.
+struct Loss10<'a> {
+    b_net: &'a QuadraticNet,
+    lambda_net: &'a MultiplierNet,
+    sets: &'a TrainingSets,
+    field_lo: Vec<Vec<f64>>,
+    field_hi: Vec<Vec<f64>>,
+    n: usize,
+    epsilon: f64,
+    leaky_slope: f64,
+}
+
+impl<'a> Loss10<'a> {
+    /// Fixes the field at the domain samples for the two extreme controller
+    /// errors `w = ±σ*` (the field is affine in `w`, so these bracket the
+    /// Lie derivative; with `σ* = 0` both coincide). The field itself is
+    /// fixed during training; only `B` and `λ` are differentiated.
+    fn new(
+        b_net: &'a QuadraticNet,
+        lambda_net: &'a MultiplierNet,
+        sets: &'a TrainingSets,
+        closed_field: &[Polynomial],
+        sigma_star: f64,
+        cfg: &LearnerConfig,
+    ) -> Self {
+        let n = closed_field.len();
+        let eval_at = |x: &[f64], w: f64| -> Vec<f64> {
+            let mut xw = x[..n].to_vec();
+            xw.push(w);
+            closed_field.iter().map(|f| f.eval(&xw)).collect()
+        };
+        let field_lo =
+            snbc_par::par_map_collect(sets.domain.len(), |i| eval_at(&sets.domain[i], -sigma_star));
+        let field_hi =
+            snbc_par::par_map_collect(sets.domain.len(), |i| eval_at(&sets.domain[i], sigma_star));
+        Loss10 {
+            b_net,
+            lambda_net,
+            sets,
+            field_lo,
+            field_hi,
+            n,
+            epsilon: cfg.epsilon,
+            leaky_slope: cfg.leaky_slope,
+        }
+    }
+
+    /// Scratch length [`Loss10::chunk`] needs.
+    fn scratch_len(&self) -> usize {
+        self.b_net.scratch_len(2) + self.lambda_net.scratch_len()
+    }
+
+    /// Unscaled penalty sum and hinge mass of samples `lo..hi` of `kind`
+    /// under `params` (`B`'s weights, then `λ`'s); the penalty sum's
+    /// parameter gradient is added into `grad`.
+    fn chunk(
+        &self,
+        params: &[f64],
+        kind: Kind,
+        lo: usize,
+        hi: usize,
+        scratch: &mut [f64],
+        grad: &mut [f64],
+    ) -> (f64, f64) {
+        let nb = self.b_net.num_params();
+        let (bp, lp) = params.split_at(nb);
+        let (bg, lg) = grad.split_at_mut(nb);
+        let (bs, ls) = scratch.split_at_mut(self.b_net.scratch_len(2));
+        let (mut loss, mut hinge) = (0.0f64, 0.0f64);
+        for s in lo..hi {
+            let x = match kind {
+                Kind::Domain => &self.sets.domain[s][..self.n],
+                Kind::Init => &self.sets.init[s][..self.n],
+                Kind::Unsafe => &self.sets.unsafe_[s][..self.n],
+            };
+            if kind != Kind::Domain {
+                let mut b = [0.0];
+                self.b_net.eval(bp, x, &[], bs, &mut b);
+                // Condition (i): B ≥ 0 on Θ, penalize ε − B; condition (ii):
+                // B < 0 on Ξ, penalize ε + B.
+                let sign = if kind == Kind::Init { -1.0 } else { 1.0 };
+                let d = self.penalty(sign * b[0] + self.epsilon, &mut loss, &mut hinge);
+                self.b_net.back_prop(bp, x, &[], bs, &[sign * d], bg);
+                continue;
+            }
+            // L_f B = ∇B·f(x, w) at both error extremes; the robust
+            // condition takes the worse one (ties go to w = −σ*). Equal
+            // extremes (σ* = 0) need only one tangent.
+            let fields: [&[f64]; 2] = [&self.field_lo[s], &self.field_hi[s]];
+            let nt = if fields[0] == fields[1] { 1 } else { 2 };
+            let mut out = [0.0; 3];
+            self.b_net.eval(bp, x, &fields[..nt], bs, &mut out[..=nt]);
+            let b = out[0];
+            let worst = if out[nt] < out[1] { nt } else { 1 };
+            let lam = self.lambda_net.eval(lp, x, ls);
+            // Condition (iii): L_f B − λB > 0; penalize ε − (L_f B − λB).
+            let d = self.penalty(-(out[worst] - lam * b) + self.epsilon, &mut loss, &mut hinge);
+            let mut adj = [d * lam, 0.0, 0.0];
+            adj[worst] = -d;
+            self.b_net.back_prop(bp, x, &fields[..nt], bs, &adj[..=nt], bg);
+            self.lambda_net.back_prop(lp, x, ls, d * b, lg);
+        }
+        (loss, hinge)
+    }
+
+    /// Adds the hinge mass and the penalty of the `max{ε, ·}` surrogate at
+    /// `arg`, returning the penalty's derivative. The LeakyReLU reward is
+    /// clamped at `−ε`: `max{ε, ·}` saturates once a condition holds with
+    /// margin, and the clamp stops the optimizer from "winning" by
+    /// inflating the scale of `B`.
+    fn penalty(&self, arg: f64, loss: &mut f64, hinge: &mut f64) -> f64 {
+        *hinge += arg.max(0.0);
+        let (leaky, slope) = if arg > 0.0 {
+            (arg, 1.0)
+        } else {
+            (self.leaky_slope * arg, self.leaky_slope)
+        };
+        if leaky >= -self.epsilon {
+            *loss += leaky;
+            slope
+        } else {
+            *loss -= self.epsilon;
+            0.0
+        }
+    }
 }
 
 /// Hyper-parameters of the Learner (loss (10)).
@@ -184,8 +311,8 @@ impl Learner {
     /// Pre-trains the barrier network toward a target polynomial by plain
     /// MSE regression (Adam, fresh optimizer state afterwards). Used by the
     /// CEGIS driver to seed high-dimensional runs with a Lyapunov-shaped
-    /// candidate `1 − ‖x − c_Θ‖²/ρ²`, which lies in the certifiable basin of
-    /// the S-procedure verifier; the barrier loss then fine-tunes margins.
+    /// candidate `1 − xᵀPx/β`, which lies in the certifiable basin of the
+    /// S-procedure verifier; the barrier loss then fine-tunes margins.
     ///
     /// # Panics
     ///
@@ -196,20 +323,12 @@ impl Learner {
         let mut params: Vec<f64> = self.b_net.params().to_vec();
         let mut opt = Adam::new(nb, 0.05);
         let ys: Vec<f64> = samples.iter().map(|x| target.eval(x)).collect();
+        let mut grad = vec![0.0; nb];
+        let mut scratch = vec![0.0; self.b_net.scratch_len(0)];
         for _ in 0..epochs {
-            let mut tape = Tape::with_capacity(1 << 14);
-            let pv: Vec<_> = params.iter().map(|&p| tape.input(p)).collect();
-            let mut loss = tape.constant(0.0);
-            for (x, &y) in samples.iter().zip(&ys) {
-                let xv: Vec<_> = x.iter().map(|&v| tape.constant(v)).collect();
-                let out = self.b_net.forward_tape(&mut tape, &pv, &xv);
-                let e = tape.add_const(out, -y);
-                let sq = tape.mul(e, e);
-                loss = tape.add(loss, sq);
-            }
-            let g = tape.grad(loss, &pv);
-            let gv: Vec<f64> = g.iter().map(|&v| tape.value(v)).collect();
-            opt.step(&mut params, &gv);
+            grad.fill(0.0);
+            self.b_net.mse_gradient(&params, samples, &ys, &mut scratch, &mut grad);
+            opt.step(&mut params, &grad);
         }
         self.b_net.set_params(&params);
         self.optimizer.reset();
@@ -235,7 +354,6 @@ impl Learner {
         }
         let mut epochs_run: u64 = 0;
         let mut adam_steps: u64 = 0;
-        let n = closed_field.len();
         let nb = self.b_net.num_params();
         let nl = self.lambda_net.num_params();
         let np = nb + nl;
@@ -247,27 +365,16 @@ impl Learner {
             .copied()
             .collect();
 
-        // Precompute field values at the domain samples for the two extreme
-        // controller errors w = ±σ* (the field is affine in w, so these
-        // bracket the Lie derivative; with σ* = 0 both coincide). The field
-        // itself is fixed during training; only B and λ are differentiated.
-        let eval_at = |x: &[f64], w: f64| -> Vec<f64> {
-            let mut xw = x[..n].to_vec();
-            xw.push(w);
-            closed_field.iter().map(|f| f.eval(&xw)).collect()
-        };
-        let field_lo: Vec<Vec<f64>> =
-            snbc_par::par_map_collect(sets.domain.len(), |i| eval_at(&sets.domain[i], -sigma_star));
-        let field_hi: Vec<Vec<f64>> =
-            snbc_par::par_map_collect(sets.domain.len(), |i| eval_at(&sets.domain[i], sigma_star));
-
         // The epoch's batch is split into fixed-size chunk jobs — the grid
         // depends only on the sample counts, never on the worker count. Each
-        // job builds its own small tape over its samples and returns the
-        // unscaled penalty sum, the hinge mass, and the parameter gradient of
-        // its partial loss; the per-kind sums and the gradient are then
-        // reduced serially in job order, so every epoch is bitwise identical
-        // at any thread count.
+        // job runs the forward and backward passes over its samples and
+        // returns the unscaled penalty sum, the hinge mass, and the parameter
+        // gradient of its partial loss; the per-kind sums and the gradient
+        // are then reduced serially in job order, so every epoch is bitwise
+        // identical at any thread count. Jobs are dealt dynamically
+        // (`par_map_collect`): a domain chunk carries two tangents and `λ`,
+        // so it costs several init/unsafe chunks, and a static split would
+        // put every domain chunk on the same worker.
         const CHUNK: usize = 32;
         let mut jobs: Vec<(Kind, usize, usize)> = Vec::new();
         for (kind, len) in [
@@ -283,10 +390,14 @@ impl Learner {
             }
         }
 
-        let b_net = &self.b_net;
-        let lambda_net = &self.lambda_net;
-        let epsilon = self.cfg.epsilon;
-        let leaky_slope = self.cfg.leaky_slope;
+        let loss10 = Loss10::new(
+            &self.b_net,
+            &self.lambda_net,
+            sets,
+            closed_field,
+            sigma_star,
+            &self.cfg,
+        );
         let (eta1, eta2, eta3) = self.cfg.weights;
         let scale_of = |kind: Kind| match kind {
             Kind::Domain => eta1 / sets.domain.len().max(1) as f64,
@@ -310,81 +421,11 @@ impl Learner {
             let params_ref = &params;
             let run_job = |ji: usize| -> (f64, f64, Vec<f64>) {
                 let (kind, lo, hi) = jobs[ji];
-                let mut tape = Tape::with_capacity(1 << 13);
-                let pvars: Vec<_> = params_ref.iter().map(|&p| tape.input(p)).collect();
-                let (bp, lp) = pvars.split_at(nb);
-                let mut hinge = 0.0f64;
-                let mut loss = tape.constant(0.0);
-                for s in lo..hi {
-                    let arg = match kind {
-                        Kind::Domain => {
-                            let (x, flo, fhi) = (&sets.domain[s], &field_lo[s], &field_hi[s]);
-                            // L_f B = Σ ∂B/∂xᵢ · fᵢ(x, w) at both error
-                            // extremes; the robust condition uses the worse
-                            // one. Single-hidden-layer networks take the
-                            // analytic formula-(9) fast path (no per-sample
-                            // backward pass on the tape).
-                            let (b, lie) = match b_net
-                                .forward_and_lie2_tape(&mut tape, bp, &x[..n], flo, fhi)
-                            {
-                                Some((b, lie_lo, lie_hi)) => (b, tape.min(lie_lo, lie_hi)),
-                                None => {
-                                    let xv: Vec<_> =
-                                        x[..n].iter().map(|&v| tape.input(v)).collect();
-                                    let b = b_net.forward_tape(&mut tape, bp, &xv);
-                                    let grad_b = tape.grad(b, &xv);
-                                    let mut lie_lo = tape.constant(0.0);
-                                    let mut lie_hi = tape.constant(0.0);
-                                    for ((g, &fl), &fh) in grad_b.iter().zip(flo).zip(fhi) {
-                                        let tl = tape.scale(*g, fl);
-                                        lie_lo = tape.add(lie_lo, tl);
-                                        let th = tape.scale(*g, fh);
-                                        lie_hi = tape.add(lie_hi, th);
-                                    }
-                                    (b, tape.min(lie_lo, lie_hi))
-                                }
-                            };
-                            let xv_const: Vec<_> =
-                                x[..n].iter().map(|&v| tape.constant(v)).collect();
-                            let lam = lambda_net.forward_tape(&mut tape, lp, &xv_const);
-                            let lam_b = tape.mul(lam, b);
-                            // Condition (iii): L_f B − λB > 0; penalize
-                            // ε − (L_f B − λB).
-                            let margin = tape.sub(lie, lam_b);
-                            let neg = tape.neg(margin);
-                            tape.add_const(neg, epsilon)
-                        }
-                        Kind::Init => {
-                            let x = &sets.init[s];
-                            let xv: Vec<_> = x[..n].iter().map(|&v| tape.constant(v)).collect();
-                            let b = b_net.forward_tape(&mut tape, bp, &xv);
-                            // Condition (i): B ≥ 0 on Θ; penalize ε − B.
-                            let neg = tape.neg(b);
-                            tape.add_const(neg, epsilon)
-                        }
-                        Kind::Unsafe => {
-                            let x = &sets.unsafe_[s];
-                            let xv: Vec<_> = x[..n].iter().map(|&v| tape.constant(v)).collect();
-                            let b = b_net.forward_tape(&mut tape, bp, &xv);
-                            // Condition (ii): B < 0 on Ξ; penalize ε + B.
-                            tape.add_const(b, epsilon)
-                        }
-                    };
-                    hinge += tape.value(arg).max(0.0);
-                    let pen = {
-                        // max{ε, ·} saturates once the condition holds with
-                        // margin; clamp the LeakyReLU reward accordingly so
-                        // the optimizer cannot "win" by inflating the scale
-                        // of B.
-                        let leaky = tape.leaky_relu(arg, leaky_slope);
-                        let floor = tape.constant(-epsilon);
-                        tape.max(leaky, floor)
-                    };
-                    loss = tape.add(loss, pen);
-                }
-                let grads = tape.grad(loss, &pvars);
-                let g: Vec<f64> = grads.iter().map(|&v| tape.value(v)).collect();
-                (tape.value(loss), hinge, g)
+                let mut grad = vec![0.0; np];
+                let mut scratch = vec![0.0; loss10.scratch_len()];
+                let (loss, hinge) =
+                    loss10.chunk(params_ref, kind, lo, hi, &mut scratch, &mut grad);
+                (loss, hinge, grad)
             };
             let results = snbc_par::par_map_collect(jobs.len(), run_job);
             let hinge = reduce_epoch(&jobs, &results, scales, &mut kind_sums, &mut g);
@@ -462,6 +503,7 @@ impl Learner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prop_assert;
     use snbc_dynamics::benchmarks;
 
     #[test]
@@ -512,6 +554,91 @@ mod tests {
             vi + vu <= 15,
             "too many sign violations after training: init {vi}, unsafe {vu}"
         );
+    }
+
+    /// Loss (10) evaluated in plain f64 from the networks' own forward
+    /// passes and the symbolic Lie derivative of the extracted polynomial —
+    /// independent of the `eval`/`back_prop` kernels.
+    fn reference_loss(l: &Loss10, closed: &[Polynomial], sigma: f64, params: &[f64]) -> f64 {
+        let nb = l.b_net.num_params();
+        let mut b_net = l.b_net.clone();
+        let mut lambda_net = l.lambda_net.clone();
+        b_net.set_params(&params[..nb]);
+        lambda_net.set_params(&params[nb..]);
+        let lie = snbc_poly::lie_derivative(&b_net.to_polynomial(), closed);
+        let pen = |arg: f64| {
+            let leaky = if arg > 0.0 { arg } else { l.leaky_slope * arg };
+            leaky.max(-l.epsilon)
+        };
+        let mut loss = 0.0;
+        for x in &l.sets.domain {
+            let at = |w: f64| [x[0], x[1], w];
+            let worst = lie.eval(&at(-sigma)).min(lie.eval(&at(sigma)));
+            loss += pen(l.epsilon - (worst - lambda_net.forward(x) * b_net.forward(x)));
+        }
+        for x in &l.sets.init {
+            loss += pen(l.epsilon - b_net.forward(x));
+        }
+        for x in &l.sets.unsafe_ {
+            loss += pen(l.epsilon + b_net.forward(x));
+        }
+        loss
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// The loss-(10) parameter gradient the epoch loop reduces agrees
+        /// with central finite differences of the plain-f64 loss, for
+        /// `λ` constant, linear `[5]` and linear `[5, 5]`, at `σ* = 0` and
+        /// `σ* > 0` (where the two error extremes differ), at depth 1 and 2.
+        #[test]
+        fn loss_gradient_matches_finite_differences(
+            seed in 0u64..1000,
+            lambda_kind in 0usize..3,
+            sigma_kind in 0usize..2,
+            depth in 1usize..3,
+        ) {
+            let bench = benchmarks::benchmark(3);
+            let closed = bench.system.close_loop_with_error(&"-0.5*x0".parse().unwrap());
+            let sigma = [0.0, 0.4][sigma_kind];
+            let hidden: &[usize] = if depth == 1 { &[4] } else { &[3, 2] };
+            let b_net = QuadraticNet::new(2, hidden, seed);
+            let lambda_net = match lambda_kind {
+                0 => MultiplierNet::constant(0.3),
+                1 => MultiplierNet::linear(2, &[5], seed + 1),
+                _ => MultiplierNet::linear(2, &[5, 5], seed + 1),
+            };
+            let sets = TrainingSets::sample(&bench.system, 6, seed + 2);
+            let cfg = LearnerConfig::default();
+            let l = Loss10::new(&b_net, &lambda_net, &sets, &closed, sigma, &cfg);
+            let params: Vec<f64> =
+                b_net.params().iter().chain(lambda_net.params()).copied().collect();
+            let mut grad = vec![0.0; params.len()];
+            let mut scratch = vec![0.0; l.scratch_len()];
+            let mut loss = 0.0;
+            for kind in [Kind::Domain, Kind::Init, Kind::Unsafe] {
+                loss += l.chunk(&params, kind, 0, 6, &mut scratch, &mut grad).0;
+            }
+            let want = reference_loss(&l, &closed, sigma, &params);
+            prop_assert!(
+                (loss - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "loss {loss} vs {want}"
+            );
+            let h = 1e-6;
+            for (k, g) in grad.iter().enumerate() {
+                let mut p = params.clone();
+                p[k] += h;
+                let plus = reference_loss(&l, &closed, sigma, &p);
+                p[k] -= 2.0 * h;
+                let minus = reference_loss(&l, &closed, sigma, &p);
+                let fd = (plus - minus) / (2.0 * h);
+                prop_assert!(
+                    (g - fd).abs() <= 1e-5 * fd.abs().max(1.0),
+                    "param {k}: analytic {g} vs finite difference {fd}"
+                );
+            }
+        }
     }
 
     #[test]

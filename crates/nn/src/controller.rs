@@ -1,6 +1,5 @@
 use rand::Rng;
 use rand::SeedableRng;
-use snbc_autodiff::Tape;
 
 use crate::{Activation, Adam, Mlp};
 
@@ -89,40 +88,51 @@ pub fn train_controller(
 
     let mut opt = Adam::new(net.num_params(), cfg.learning_rate);
     let mut params = net.params().to_vec();
+    let mut grad = vec![0.0; params.len()];
+    let mut scratch = vec![0.0; net.scratch_len()];
     for _ in 0..cfg.epochs {
-        let mut tape = Tape::with_capacity(64 * cfg.samples);
-        let pv: Vec<_> = params.iter().map(|&p| tape.input(p)).collect();
-        let mut loss = tape.constant(0.0);
-        for (x, &y) in xs.iter().zip(&ys) {
-            let xv: Vec<_> = x.iter().map(|&v| tape.constant(v)).collect();
-            net.set_params(&params);
-            let pred = net.forward_tape(&mut tape, &pv, &xv);
-            let err = tape.add_const(pred, -y);
-            let sq = tape.mul(err, err);
-            loss = tape.add(loss, sq);
-        }
-        let scale = 1.0 / cfg.samples as f64;
-        let mut loss = tape.scale(loss, scale);
-        if cfg.weight_decay > 0.0 {
-            let mut reg = tape.constant(0.0);
-            for &p in &pv {
-                let sq = tape.mul(p, p);
-                reg = tape.add(reg, sq);
-            }
-            let reg = tape.scale(reg, cfg.weight_decay);
-            loss = tape.add(loss, reg);
-        }
-        let grads = tape.grad(loss, &pv);
-        let g: Vec<f64> = grads.iter().map(|&v| tape.value(v)).collect();
-        opt.step(&mut params, &g);
+        grad.fill(0.0);
+        mse_gradient(&net, &params, &xs, &ys, cfg.weight_decay, &mut scratch, &mut grad);
+        opt.step(&mut params, &grad);
     }
     net.set_params(&params);
     net
 }
 
+/// The controller fit's loss `(1/N)·Σ (k(x) − y)² + wd·Σ θ²` under the
+/// weights `w`; its parameter gradient is added into `grad`.
+fn mse_gradient(
+    net: &Mlp,
+    w: &[f64],
+    xs: &[Vec<f64>],
+    ys: &[f64],
+    weight_decay: f64,
+    scratch: &mut [f64],
+    grad: &mut [f64],
+) -> f64 {
+    let scale = 1.0 / xs.len() as f64;
+    let mut loss = 0.0;
+    for (x, &y) in xs.iter().zip(ys) {
+        let e = net.eval(w, x, scratch) - y;
+        loss += e * e;
+        net.back_prop(w, x, scratch, scale * (e + e), grad);
+    }
+    loss *= scale;
+    if weight_decay > 0.0 {
+        let mut reg = 0.0;
+        for (g, &p) in grad.iter_mut().zip(w) {
+            reg += p * p;
+            *g += weight_decay * (p + p);
+        }
+        loss += weight_decay * reg;
+    }
+    loss
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prop_assert;
 
     #[test]
     fn fits_linear_law_in_two_dims() {
@@ -141,6 +151,53 @@ mod tests {
             }
         }
         assert!(worst < 0.25, "worst fit error {worst}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// The controller fit's analytic gradient agrees with central finite
+        /// differences of the same loss computed from plain forward passes.
+        #[test]
+        fn mse_gradient_matches_finite_differences(
+            seed in 0u64..1000,
+            activation in 0usize..3,
+            xs in proptest::collection::vec(proptest::collection::vec(-1.0f64..1.0, 2), 10),
+            shift in proptest::collection::vec(-0.5f64..0.5, 37),
+        ) {
+            let act = [Activation::Tanh, Activation::Relu, Activation::LeakyRelu(0.1)][activation];
+            // Shifted off the zero-bias initialization, so no ReLU sits
+            // exactly on its kink, where a central difference is one-sided.
+            let mut net = Mlp::new(&[2, 5, 3, 1], act, seed);
+            let w: Vec<f64> = net.params().iter().zip(&shift).map(|(p, s)| p + s).collect();
+            net.set_params(&w);
+            let ys: Vec<f64> = xs.iter().map(|x| -x[0] - 0.5 * x[1]).collect();
+            let wd = 2e-3;
+            let plain_loss = |w: &[f64]| {
+                let mut probe = net.clone();
+                probe.set_params(w);
+                let fit: f64 =
+                    xs.iter().zip(&ys).map(|(x, y)| (probe.forward(x) - y).powi(2)).sum();
+                fit / xs.len() as f64 + wd * w.iter().map(|p| p * p).sum::<f64>()
+            };
+            let mut grad = vec![0.0; net.num_params()];
+            let mut scratch = vec![0.0; net.scratch_len()];
+            let loss = mse_gradient(&net, net.params(), &xs, &ys, wd, &mut scratch, &mut grad);
+            let want = plain_loss(net.params());
+            prop_assert!((loss - want).abs() <= 1e-12 * want.max(1.0), "loss {loss} vs {want}");
+            let h = 1e-6;
+            for (k, g) in grad.iter().enumerate() {
+                let mut p = net.params().to_vec();
+                p[k] += h;
+                let plus = plain_loss(&p);
+                p[k] -= 2.0 * h;
+                let fd = (plus - plain_loss(&p)) / (2.0 * h);
+                prop_assert!(
+                    (g - fd).abs() <= 1e-6 * fd.abs().max(1.0),
+                    "{act:?} param {k}: analytic {g} vs finite difference {fd}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,14 @@
 //!   network (affine output) or a trainable constant, matching the
 //!   `NN_λ(x)` column of Table 1.
 //!
-//! Training uses [`snbc_autodiff::Tape`] (including the grad-of-grad needed by
-//! the Lie-derivative loss) and the [`Adam`] optimizer. Lipschitz constants
+//! Training uses hand-written forward and backward passes over each
+//! network's flat weight vector, with scratch space the caller owns:
+//! [`QuadraticNet::eval`] carries `B(x)` and the directional derivatives
+//! `∇B(x)·f` the Lie-derivative loss needs layer by layer (the chain rule
+//! of formula (9)), and [`QuadraticNet::back_prop`],
+//! [`MultiplierNet::back_prop`] and [`Mlp::back_prop`] return parameter
+//! gradients for the [`Adam`] optimizer. The network shapes are fixed, so
+//! no general autodiff is needed. Lipschitz constants
 //! for Theorem 2 are bounded by the product of layer spectral norms
 //! ([`Mlp::lipschitz_bound`]), the standard safe estimate in the spirit of
 //! the paper's reference \[6\].
@@ -39,11 +45,9 @@ mod controller;
 mod mlp;
 mod multiplier;
 mod quadratic;
-mod square;
 
 pub use adam::Adam;
 pub use controller::{train_controller, ControllerTraining};
 pub use mlp::{Activation, Mlp, VectorMlp};
 pub use multiplier::MultiplierNet;
 pub use quadratic::QuadraticNet;
-pub use square::SquareNet;

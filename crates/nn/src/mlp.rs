@@ -1,5 +1,4 @@
 use rand::Rng;
-use snbc_autodiff::{Tape, Var};
 use snbc_linalg::Matrix;
 
 /// Activation function of an [`Mlp`] hidden layer.
@@ -16,7 +15,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, x: f64) -> f64 {
+    fn activate(self, x: f64) -> f64 {
         match self {
             Activation::Tanh => x.tanh(),
             Activation::Relu => x.max(0.0),
@@ -31,12 +30,26 @@ impl Activation {
         }
     }
 
-    fn apply_tape(self, tape: &mut Tape, x: Var) -> Var {
+    /// Derivative at pre-activation `z` with value `a = activate(z)`. The
+    /// piecewise-linear units take their `z > 0` slope only for `z > 0`.
+    fn slope(self, z: f64, a: f64) -> f64 {
         match self {
-            Activation::Tanh => tape.tanh(x),
-            Activation::Relu => tape.leaky_relu(x, 0.0),
-            Activation::LeakyRelu(s) => tape.leaky_relu(x, s),
-            Activation::Linear => x,
+            Activation::Tanh => 1.0 - a * a,
+            Activation::Relu => {
+                if z > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::LeakyRelu(s) => {
+                if z > 0.0 {
+                    1.0
+                } else {
+                    s
+                }
+            }
+            Activation::Linear => 1.0,
         }
     }
 
@@ -53,7 +66,8 @@ impl Activation {
 /// controller `k(x)` of the paper.
 ///
 /// Parameters are stored as a flat vector (row-major weights then biases per
-/// layer) so optimizers and tapes can address them uniformly.
+/// layer) so optimizers and the [`Mlp::eval`]/[`Mlp::back_prop`] kernels can
+/// address them uniformly.
 ///
 /// # Example
 ///
@@ -149,58 +163,93 @@ impl Mlp {
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn forward(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let mut act: Vec<f64> = x.to_vec();
-        let mut offset = 0;
-        let last = self.layer_sizes.len() - 2;
-        for (li, w) in self.layer_sizes.windows(2).enumerate() {
-            let (fan_in, fan_out) = (w[0], w[1]);
-            let mut next = vec![0.0; fan_out];
-            for (o, n) in next.iter_mut().enumerate() {
-                let mut acc = self.params[offset + fan_in * fan_out + o]; // bias
-                for (i, a) in act.iter().enumerate() {
-                    acc += self.params[offset + o * fan_in + i] * a;
-                }
-                *n = if li == last { acc } else { self.activation.apply(acc) };
-            }
-            offset += fan_in * fan_out + fan_out;
-            act = next;
-        }
-        act[0]
+        let mut scratch = vec![0.0; self.scratch_len()];
+        self.eval(&self.params, x, &mut scratch)
     }
 
-    /// Forward pass on a tape, with parameters supplied as tape variables
-    /// (for training) and the input as tape variables.
+    /// Length of the scratch buffer [`Mlp::eval`] and [`Mlp::back_prop`]
+    /// need: every layer's pre-activations and outputs, then two adjoint
+    /// rows of the widest layer.
+    pub fn scratch_len(&self) -> usize {
+        let widest = self.layer_sizes.iter().copied().max().unwrap_or(0);
+        2 * self.layer_sizes[1..].iter().sum::<usize>() + 2 * widest
+    }
+
+    /// Forward pass under the flat weights `w` (same layout as
+    /// [`Mlp::params`]); `scratch` (at least [`Mlp::scratch_len`] long)
+    /// keeps the pre-activations and outputs for [`Mlp::back_prop`].
     ///
     /// # Panics
     ///
-    /// Panics if `params.len() != self.num_params()` or the input width is
-    /// wrong.
-    pub fn forward_tape(&self, tape: &mut Tape, params: &[Var], x: &[Var]) -> Var {
-        assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
+    /// Panics on weight, input or scratch length mismatch.
+    // audit:hot
+    pub fn eval(&self, w: &[f64], x: &[f64], scratch: &mut [f64]) -> f64 {
+        assert_eq!(w.len(), self.params.len(), "parameter count mismatch");
         assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let mut act: Vec<Var> = x.to_vec();
-        let mut offset = 0;
+        assert!(scratch.len() >= self.scratch_len(), "scratch too short");
         let last = self.layer_sizes.len() - 2;
-        for (li, w) in self.layer_sizes.windows(2).enumerate() {
-            let (fan_in, fan_out) = (w[0], w[1]);
-            let mut next = Vec::with_capacity(fan_out);
+        let mut off = 0;
+        let mut base = 0;
+        for (li, ws) in self.layer_sizes.windows(2).enumerate() {
+            let (fan_in, fan_out) = (ws[0], ws[1]);
+            // Layer block: pre-activations z (fan_out) | outputs a (fan_out).
+            let (done, cur) = scratch.split_at_mut(base);
+            let inp: &[f64] = if li == 0 { x } else { &done[base - fan_in..] };
+            let (z, a) = cur.split_at_mut(fan_out);
             for o in 0..fan_out {
-                let mut acc = params[offset + fan_in * fan_out + o];
-                for (i, a) in act.iter().enumerate() {
-                    let prod = tape.mul(params[offset + o * fan_in + i], *a);
-                    acc = tape.add(acc, prod);
+                let mut acc = w[off + fan_in * fan_out + o]; // bias
+                for (v, wi) in inp.iter().zip(&w[off + o * fan_in..][..fan_in]) {
+                    acc += wi * v;
                 }
-                next.push(if li == last {
-                    acc
-                } else {
-                    self.activation.apply_tape(tape, acc)
-                });
+                z[o] = acc;
+                a[o] = if li == last { acc } else { self.activation.activate(acc) };
             }
-            offset += fan_in * fan_out + fan_out;
-            act = next;
+            off += fan_in * fan_out + fan_out;
+            base += 2 * fan_out;
         }
-        act[0]
+        scratch[base - 1]
+    }
+
+    /// Reverse pass of [`Mlp::eval`]: adds `adj·∂k/∂w` into `grad`. `w`,
+    /// `x` and `scratch` must be those of the preceding `eval`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on gradient or scratch length mismatch.
+    // audit:hot
+    pub fn back_prop(&self, w: &[f64], x: &[f64], scratch: &mut [f64], adj: f64, grad: &mut [f64]) {
+        assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
+        assert!(scratch.len() >= self.scratch_len(), "scratch too short");
+        let widest = self.layer_sizes.iter().copied().max().unwrap_or(0);
+        let state_len = 2 * self.layer_sizes[1..].iter().sum::<usize>();
+        let (state, work) = scratch.split_at_mut(state_len);
+        let (mut obar, rest) = work.split_at_mut(widest);
+        let mut ibar = &mut rest[..widest];
+        obar[0] = adj;
+        let last = self.layer_sizes.len() - 2;
+        let mut off = self.params.len();
+        let mut base = state_len;
+        for li in (0..=last).rev() {
+            let (fan_in, fan_out) = (self.layer_sizes[li], self.layer_sizes[li + 1]);
+            off -= fan_in * fan_out + fan_out;
+            base -= 2 * fan_out;
+            let (z, a) = state[base..base + 2 * fan_out].split_at(fan_out);
+            let inp: &[f64] = if li == 0 { x } else { &state[base - fan_in..base] };
+            ibar[..fan_in].fill(0.0);
+            for o in 0..fan_out {
+                let g = if li == last {
+                    obar[o]
+                } else {
+                    obar[o] * self.activation.slope(z[o], a[o])
+                };
+                grad[off + fan_in * fan_out + o] += g;
+                for i in 0..fan_in {
+                    grad[off + o * fan_in + i] += g * inp[i];
+                    ibar[i] += g * w[off + o * fan_in + i];
+                }
+            }
+            std::mem::swap(&mut obar, &mut ibar);
+        }
     }
 
     /// Weight matrix of layer `li` as a dense matrix (`fan_out × fan_in`).
@@ -273,17 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn tape_forward_matches_plain_forward() {
-        let net = Mlp::new(&[2, 4, 1], Activation::Tanh, 7);
-        let x = [0.2, -0.9];
-        let mut tape = Tape::new();
-        let pvars: Vec<_> = net.params().iter().map(|&p| tape.input(p)).collect();
-        let xvars: Vec<_> = x.iter().map(|&v| tape.input(v)).collect();
-        let y = net.forward_tape(&mut tape, &pvars, &xvars);
-        assert!((tape.value(y) - net.forward(&x)).abs() < 1e-12);
-    }
-
-    #[test]
     fn lipschitz_bound_dominates_sampled_slopes() {
         let net = Mlp::new(&[2, 6, 1], Activation::Tanh, 3);
         let l = net.lipschitz_bound();
@@ -301,34 +339,6 @@ mod tests {
     fn spectral_norm_of_diagonal() {
         let w = Matrix::from_diag(&[3.0, -5.0, 1.0]);
         assert!((spectral_norm(&w) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gradient_through_tape_matches_finite_difference() {
-        let net = Mlp::new(&[2, 3, 1], Activation::Tanh, 11);
-        let x = [0.4, -0.1];
-        let mut tape = Tape::new();
-        let pvars: Vec<_> = net.params().iter().map(|&p| tape.input(p)).collect();
-        let xvars: Vec<_> = x.iter().map(|&v| tape.input(v)).collect();
-        let y = net.forward_tape(&mut tape, &pvars, &xvars);
-        let grads = tape.grad(y, &pvars);
-        // Check a few parameters against finite differences.
-        for idx in [0, 3, net.num_params() - 1] {
-            let h = 1e-6;
-            let mut plus = net.clone();
-            let mut pp = net.params().to_vec();
-            pp[idx] += h;
-            plus.set_params(&pp);
-            let mut minus = net.clone();
-            pp[idx] -= 2.0 * h;
-            minus.set_params(&pp);
-            let fd = (plus.forward(&x) - minus.forward(&x)) / (2.0 * h);
-            assert!(
-                (tape.value(grads[idx]) - fd).abs() < 1e-6,
-                "param {idx}: ad {} vs fd {fd}",
-                tape.value(grads[idx])
-            );
-        }
     }
 }
 
@@ -639,24 +649,11 @@ impl Mlp {
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn forward_all(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let mut act: Vec<f64> = x.to_vec();
-        let mut offset = 0;
-        let last = self.layer_sizes.len() - 2;
-        for (li, w) in self.layer_sizes.windows(2).enumerate() {
-            let (fan_in, fan_out) = (w[0], w[1]);
-            let mut next = vec![0.0; fan_out];
-            for (o, n) in next.iter_mut().enumerate() {
-                let mut acc = self.params[offset + fan_in * fan_out + o];
-                for (i, a) in act.iter().enumerate() {
-                    acc += self.params[offset + o * fan_in + i] * a;
-                }
-                *n = if li == last { acc } else { self.activation.apply(acc) };
-            }
-            offset += fan_in * fan_out + fan_out;
-            act = next;
-        }
-        act
+        let mut scratch = vec![0.0; self.scratch_len()];
+        self.eval(&self.params, x, &mut scratch);
+        // The output layer's values close the layer blocks of `eval`.
+        let end = 2 * self.layer_sizes[1..].iter().sum::<usize>();
+        scratch[end - self.layer_sizes[self.layer_sizes.len() - 1]..end].to_vec()
     }
 }
 

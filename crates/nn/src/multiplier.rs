@@ -1,6 +1,5 @@
 use rand::Rng;
 use rand::SeedableRng;
-use snbc_autodiff::{Tape, Var};
 use snbc_poly::Polynomial;
 
 /// The auxiliary multiplier network for `λ(x)` (Theorem 1 / §4.1).
@@ -99,70 +98,100 @@ impl MultiplierNet {
     ///
     /// Panics on input-width mismatch for the linear variant.
     pub fn forward(&self, x: &[f64]) -> f64 {
+        let mut scratch = vec![0.0; self.scratch_len()];
+        self.eval(self.params(), x, &mut scratch)
+    }
+
+    /// Length of the scratch buffer [`MultiplierNet::eval`] and
+    /// [`MultiplierNet::back_prop`] need: every layer's outputs, then two
+    /// adjoint rows of the widest layer.
+    pub fn scratch_len(&self) -> usize {
         match self {
-            MultiplierNet::Constant { value } => value[0],
-            MultiplierNet::Linear {
-                input_dim,
-                layer_sizes,
-                params,
-            } => {
-                assert_eq!(x.len(), *input_dim, "input dimension mismatch");
-                let mut act: Vec<f64> = x.to_vec();
-                let mut offset = 0;
-                for w in layer_sizes.windows(2) {
-                    let (fan_in, fan_out) = (w[0], w[1]);
-                    let mut next = vec![0.0; fan_out];
-                    for (o, n) in next.iter_mut().enumerate() {
-                        let mut acc = params[offset + fan_in * fan_out + o];
-                        for (i, a) in act.iter().enumerate() {
-                            acc += params[offset + o * fan_in + i] * a;
-                        }
-                        *n = acc;
-                    }
-                    offset += fan_in * fan_out + fan_out;
-                    act = next;
-                }
-                act[0]
+            MultiplierNet::Constant { .. } => 0,
+            MultiplierNet::Linear { layer_sizes, .. } => {
+                let widest = layer_sizes.iter().copied().max().unwrap_or(0);
+                layer_sizes[1..].iter().sum::<usize>() + 2 * widest
             }
         }
     }
 
-    /// Forward pass on a tape.
+    /// Forward pass under the flat weights `w` (same layout as
+    /// [`MultiplierNet::params`]); `scratch` (at least
+    /// [`MultiplierNet::scratch_len`] long) keeps the layer outputs for
+    /// [`MultiplierNet::back_prop`].
     ///
     /// # Panics
     ///
-    /// Panics on length mismatches.
-    pub fn forward_tape(&self, tape: &mut Tape, params: &[Var], x: &[Var]) -> Var {
-        match self {
-            MultiplierNet::Constant { .. } => {
-                assert_eq!(params.len(), 1, "parameter count mismatch");
-                params[0]
-            }
-            MultiplierNet::Linear {
-                input_dim,
-                layer_sizes,
-                ..
-            } => {
-                assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
-                assert_eq!(x.len(), *input_dim, "input dimension mismatch");
-                let mut act: Vec<Var> = x.to_vec();
-                let mut offset = 0;
-                for w in layer_sizes.windows(2) {
-                    let (fan_in, fan_out) = (w[0], w[1]);
-                    let mut next = Vec::with_capacity(fan_out);
-                    for o in 0..fan_out {
-                        let mut acc = params[offset + fan_in * fan_out + o];
-                        for (i, a) in act.iter().enumerate() {
-                            let p = tape.mul(params[offset + o * fan_in + i], *a);
-                            acc = tape.add(acc, p);
-                        }
-                        next.push(acc);
-                    }
-                    offset += fan_in * fan_out + fan_out;
-                    act = next;
+    /// Panics on weight, input or scratch length mismatch.
+    // audit:hot
+    pub fn eval(&self, w: &[f64], x: &[f64], scratch: &mut [f64]) -> f64 {
+        assert_eq!(w.len(), self.num_params(), "parameter count mismatch");
+        let MultiplierNet::Linear {
+            input_dim,
+            layer_sizes,
+            ..
+        } = self
+        else {
+            return w[0];
+        };
+        assert_eq!(x.len(), *input_dim, "input dimension mismatch");
+        assert!(scratch.len() >= self.scratch_len(), "scratch too short");
+        let mut off = 0;
+        let mut base = 0;
+        for (l, ws) in layer_sizes.windows(2).enumerate() {
+            let (fan_in, fan_out) = (ws[0], ws[1]);
+            let (done, cur) = scratch.split_at_mut(base);
+            let inp: &[f64] = if l == 0 { x } else { &done[base - fan_in..] };
+            for (o, n) in cur[..fan_out].iter_mut().enumerate() {
+                let mut acc = w[off + fan_in * fan_out + o];
+                for (a, wi) in inp.iter().zip(&w[off + o * fan_in..][..fan_in]) {
+                    acc += wi * a;
                 }
-                act[0]
+                *n = acc;
             }
+            off += fan_in * fan_out + fan_out;
+            base += fan_out;
+        }
+        scratch[base - 1]
+    }
+
+    /// Reverse pass of [`MultiplierNet::eval`]: adds `adj·∂λ/∂w` into
+    /// `grad`. `w`, `x` and `scratch` must be those of the preceding `eval`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on gradient or scratch length mismatch.
+    // audit:hot
+    pub fn back_prop(&self, w: &[f64], x: &[f64], scratch: &mut [f64], adj: f64, grad: &mut [f64]) {
+        assert_eq!(grad.len(), self.num_params(), "gradient length mismatch");
+        let MultiplierNet::Linear { layer_sizes, .. } = self else {
+            grad[0] += adj;
+            return;
+        };
+        assert!(scratch.len() >= self.scratch_len(), "scratch too short");
+        let widest = layer_sizes.iter().copied().max().unwrap_or(0);
+        let state_len = layer_sizes[1..].iter().sum::<usize>();
+        let (state, work) = scratch.split_at_mut(state_len);
+        let (mut obar, rest) = work.split_at_mut(widest);
+        let mut ibar = &mut rest[..widest];
+        obar[0] = adj;
+        let mut off = self.num_params();
+        let mut base = state_len;
+        for l in (0..layer_sizes.len() - 1).rev() {
+            let (fan_in, fan_out) = (layer_sizes[l], layer_sizes[l + 1]);
+            off -= fan_in * fan_out + fan_out;
+            base -= fan_out;
+            let inp: &[f64] = if l == 0 { x } else { &state[base - fan_in..base] };
+            ibar[..fan_in].fill(0.0);
+            for o in 0..fan_out {
+                let g = obar[o];
+                grad[off + fan_in * fan_out + o] += g;
+                for i in 0..fan_in {
+                    grad[off + o * fan_in + i] += g * inp[i];
+                    ibar[i] += g * w[off + o * fan_in + i];
+                }
+            }
+            std::mem::swap(&mut obar, &mut ibar);
         }
     }
 
@@ -207,16 +236,5 @@ mod tests {
         for x in [[0.0, 0.0], [1.0, -2.0], [0.3, 0.7]] {
             assert!((net.forward(&x) - p.eval(&x)).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn tape_matches_forward() {
-        let net = MultiplierNet::linear(2, &[4], 8);
-        let x = [0.5, -1.5];
-        let mut tape = Tape::new();
-        let pv: Vec<_> = net.params().iter().map(|&p| tape.input(p)).collect();
-        let xv: Vec<_> = x.iter().map(|&v| tape.input(v)).collect();
-        let y = net.forward_tape(&mut tape, &pv, &xv);
-        assert!((tape.value(y) - net.forward(&x)).abs() < 1e-12);
     }
 }

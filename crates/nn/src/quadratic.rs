@@ -1,6 +1,5 @@
 use rand::Rng;
 use rand::SeedableRng;
-use snbc_autodiff::{Tape, Var};
 use snbc_poly::Polynomial;
 
 /// The paper's *quadratic network* (§4.1, Fig. 2): hidden layers apply the
@@ -13,8 +12,9 @@ use snbc_poly::Polynomial;
 /// so with `l` hidden layers the scalar output is *exactly* a polynomial of
 /// degree `2^l` in the input — interpretable by the SOS verifier without any
 /// abstraction step. Compared to the classic square network
-/// `σ(x) = (Wx + b)²` it doubles the parameters at equal output degree,
-/// which is precisely the fitting-capability argument of the paper.
+/// `σ(x) = (Wx + b)²` — the special case `W₂ = W₁`, `b₂ = b₁` — it doubles
+/// the parameters at equal output degree, which is precisely the
+/// fitting-capability argument of the paper.
 ///
 /// # Example
 ///
@@ -109,76 +109,217 @@ impl QuadraticNet {
     ///
     /// Panics on input-width mismatch.
     pub fn forward(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let mut act: Vec<f64> = x.to_vec();
-        let mut offset = 0;
-        for &h in &self.hidden {
-            let fan_in = act.len();
-            let mut next = vec![0.0; h];
-            let w1 = offset;
-            let b1 = w1 + fan_in * h;
-            let w2 = b1 + h;
-            let b2 = w2 + fan_in * h;
-            for (o, n) in next.iter_mut().enumerate() {
-                let mut a1 = self.params[b1 + o];
-                let mut a2 = self.params[b2 + o];
-                for (i, a) in act.iter().enumerate() {
-                    a1 += self.params[w1 + o * fan_in + i] * a;
-                    a2 += self.params[w2 + o * fan_in + i] * a;
-                }
-                *n = a1 * a2;
-            }
-            offset = b2 + h;
-            act = next;
-        }
-        let w = offset;
-        let b = w + act.len();
-        let mut out = self.params[b];
-        for (i, a) in act.iter().enumerate() {
-            out += self.params[w + i] * a;
-        }
-        out
+        let mut scratch = vec![0.0; self.scratch_len(0)];
+        let mut out = [0.0];
+        self.eval(&self.params, x, &[], &mut scratch, &mut out);
+        out[0]
     }
 
-    /// Forward pass on a tape with parameters and inputs as tape variables.
+    /// Length of the scratch buffer [`QuadraticNet::eval`] and
+    /// [`QuadraticNet::back_prop`] need when carrying `tangents` directional
+    /// derivatives: the two factors and the product of every hidden neuron
+    /// per channel, then two adjoint rows of the widest layer.
+    pub fn scratch_len(&self, tangents: usize) -> usize {
+        let m = 1 + tangents;
+        let widest = self.hidden.iter().copied().fold(self.input_dim, usize::max);
+        3 * m * self.hidden.iter().sum::<usize>() + 2 * m * widest
+    }
+
+    /// Forward pass under the flat weights `w` (same layout as
+    /// [`QuadraticNet::params`]) carrying the value and one channel per
+    /// tangent: `out[0] = B(x)` and `out[1 + k] = ∇B(x)·tangents[k]`, the
+    /// layer-by-layer chain rule of formula (9). A cross-product neuron
+    /// `p = u·v` with `u = W₁a + b₁`, `v = W₂a + b₂` maps tangent channels
+    /// `(u̇, v̇)` to `ṗ = u̇·v + u·v̇`. `scratch` (at least
+    /// [`QuadraticNet::scratch_len`]`(tangents.len())` long) keeps the
+    /// per-layer factors for [`QuadraticNet::back_prop`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on weight, input, tangent, scratch or output length mismatch.
+    // audit:hot
+    pub fn eval(
+        &self,
+        w: &[f64],
+        x: &[f64],
+        tangents: &[&[f64]],
+        scratch: &mut [f64],
+        out: &mut [f64],
+    ) {
+        let m = 1 + tangents.len();
+        assert_eq!(w.len(), self.params.len(), "parameter count mismatch");
+        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
+        assert!(tangents.iter().all(|t| t.len() == self.input_dim), "tangent dimension mismatch");
+        assert!(scratch.len() >= self.scratch_len(tangents.len()), "scratch too short");
+        assert_eq!(out.len(), m, "output length mismatch");
+        let mut off = 0;
+        let mut base = 0;
+        let mut fan_in = self.input_dim;
+        for (l, &h) in self.hidden.iter().enumerate() {
+            let (w1, b1) = (off, off + fan_in * h);
+            let (w2, b2) = (b1 + h, b1 + h + fan_in * h);
+            // Layer block: u (m·h) | v (m·h) | p (m·h); the previous layer's
+            // p block ends exactly at `base`.
+            let (done, cur) = scratch.split_at_mut(base);
+            let (u, rest) = cur.split_at_mut(m * h);
+            let (v, rest) = rest.split_at_mut(m * h);
+            let p = &mut rest[..m * h];
+            for c in 0..m {
+                let inp: &[f64] = match (l, c) {
+                    (0, 0) => x,
+                    (0, _) => tangents[c - 1],
+                    _ => &done[base - m * fan_in + c * fan_in..][..fan_in],
+                };
+                for o in 0..h {
+                    let (mut uo, mut vo) = if c == 0 { (w[b1 + o], w[b2 + o]) } else { (0.0, 0.0) };
+                    let r1 = &w[w1 + o * fan_in..][..fan_in];
+                    let r2 = &w[w2 + o * fan_in..][..fan_in];
+                    for ((a, p1), p2) in inp.iter().zip(r1).zip(r2) {
+                        uo += p1 * a;
+                        vo += p2 * a;
+                    }
+                    u[c * h + o] = uo;
+                    v[c * h + o] = vo;
+                }
+            }
+            for o in 0..h {
+                p[o] = u[o] * v[o];
+                for c in 1..m {
+                    p[c * h + o] = u[c * h + o] * v[o] + u[o] * v[c * h + o];
+                }
+            }
+            off = b2 + h;
+            base += 3 * m * h;
+            fan_in = h;
+        }
+        let p = &scratch[base - m * fan_in..base];
+        let wout = &w[off..off + fan_in];
+        for (c, o) in out.iter_mut().enumerate() {
+            let mut acc = if c == 0 { w[off + fan_in] } else { 0.0 };
+            for (wi, pi) in wout.iter().zip(&p[c * fan_in..(c + 1) * fan_in]) {
+                acc += wi * pi;
+            }
+            *o = acc;
+        }
+    }
+
+    /// Reverse pass of [`QuadraticNet::eval`]: given the adjoints `adj` of
+    /// its outputs (`adj[0]` for `B`, `adj[1 + k]` for tangent `k`), adds
+    /// `Σ_c adj[c]·∂out[c]/∂w` into `grad`. `w`, `x`, `tangents` and
+    /// `scratch` must be exactly those of the preceding `eval`.
     ///
     /// # Panics
     ///
     /// Panics on length mismatches.
-    pub fn forward_tape(&self, tape: &mut Tape, params: &[Var], x: &[Var]) -> Var {
-        assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let mut act: Vec<Var> = x.to_vec();
-        let mut offset = 0;
-        for &h in &self.hidden {
-            let fan_in = act.len();
-            let w1 = offset;
-            let b1 = w1 + fan_in * h;
-            let w2 = b1 + h;
-            let b2 = w2 + fan_in * h;
-            let mut next = Vec::with_capacity(h);
-            for o in 0..h {
-                let mut a1 = params[b1 + o];
-                let mut a2 = params[b2 + o];
-                for (i, a) in act.iter().enumerate() {
-                    let p1 = tape.mul(params[w1 + o * fan_in + i], *a);
-                    a1 = tape.add(a1, p1);
-                    let p2 = tape.mul(params[w2 + o * fan_in + i], *a);
-                    a2 = tape.add(a2, p2);
-                }
-                next.push(tape.mul(a1, a2));
+    // audit:hot
+    pub fn back_prop(
+        &self,
+        w: &[f64],
+        x: &[f64],
+        tangents: &[&[f64]],
+        scratch: &mut [f64],
+        adj: &[f64],
+        grad: &mut [f64],
+    ) {
+        let m = 1 + tangents.len();
+        assert_eq!(adj.len(), m, "adjoint length mismatch");
+        assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
+        assert!(scratch.len() >= self.scratch_len(tangents.len()), "scratch too short");
+        let widest = self.hidden.iter().copied().fold(self.input_dim, usize::max);
+        let state_len = 3 * m * self.hidden.iter().sum::<usize>();
+        let (state, work) = scratch.split_at_mut(state_len);
+        let (mut pbar, rest) = work.split_at_mut(m * widest);
+        let mut abar = &mut rest[..m * widest];
+
+        // Output layer: out[c] = b + Σᵢ wᵢ·p[c][i].
+        let last = *self.hidden.last().expect("at least one hidden layer");
+        let mut off = self.params.len() - last - 1;
+        grad[off + last] += adj[0];
+        let p = &state[state_len - m * last..];
+        for i in 0..last {
+            let mut g = 0.0;
+            for c in 0..m {
+                g += adj[c] * p[c * last + i];
+                pbar[c * last + i] = adj[c] * w[off + i];
             }
-            offset = b2 + h;
-            act = next;
+            grad[off + i] += g;
         }
-        let w = offset;
-        let b = w + act.len();
-        let mut out = params[b];
-        for (i, a) in act.iter().enumerate() {
-            let p = tape.mul(params[w + i], *a);
-            out = tape.add(out, p);
+
+        let mut base = state_len;
+        for l in (0..self.hidden.len()).rev() {
+            let h = self.hidden[l];
+            let fan_in = if l == 0 { self.input_dim } else { self.hidden[l - 1] };
+            base -= 3 * m * h;
+            off -= 2 * (fan_in * h + h);
+            let (w1, b1) = (off, off + fan_in * h);
+            let (w2, b2) = (b1 + h, b1 + h + fan_in * h);
+            let u = &state[base..base + m * h];
+            let v = &state[base + m * h..base + 2 * m * h];
+            abar[..m * fan_in].fill(0.0);
+            for o in 0..h {
+                // p₀ = u₀v₀, p_c = u_c·v₀ + u₀·v_c ⇒ the factor adjoints.
+                let (u0, v0) = (u[o], v[o]);
+                let mut ub0 = pbar[o] * v0;
+                let mut vb0 = pbar[o] * u0;
+                for c in 1..m {
+                    ub0 += pbar[c * h + o] * v[c * h + o];
+                    vb0 += pbar[c * h + o] * u[c * h + o];
+                }
+                grad[b1 + o] += ub0;
+                grad[b2 + o] += vb0;
+                for c in 0..m {
+                    let (ub, vb) = if c == 0 {
+                        (ub0, vb0)
+                    } else {
+                        (pbar[c * h + o] * v0, pbar[c * h + o] * u0)
+                    };
+                    let inp: &[f64] = match (l, c) {
+                        (0, 0) => x,
+                        (0, _) => tangents[c - 1],
+                        _ => &state[base - m * fan_in + c * fan_in..][..fan_in],
+                    };
+                    for i in 0..fan_in {
+                        grad[w1 + o * fan_in + i] += ub * inp[i];
+                        grad[w2 + o * fan_in + i] += vb * inp[i];
+                    }
+                    if l > 0 {
+                        let row = &mut abar[c * fan_in..(c + 1) * fan_in];
+                        for (i, r) in row.iter_mut().enumerate() {
+                            *r += ub * w[w1 + o * fan_in + i] + vb * w[w2 + o * fan_in + i];
+                        }
+                    }
+                }
+            }
+            std::mem::swap(&mut pbar, &mut abar);
         }
-        out
+    }
+
+    /// Adds the parameter gradient of the squared-error fit
+    /// `Σₛ (B(xₛ) − yₛ)²` under the weights `w` into `grad` and returns the
+    /// fit's value. `scratch` needs [`QuadraticNet::scratch_len`]`(0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` and `targets` differ in length, or on the
+    /// length mismatches of [`QuadraticNet::eval`].
+    pub fn mse_gradient(
+        &self,
+        w: &[f64],
+        samples: &[Vec<f64>],
+        targets: &[f64],
+        scratch: &mut [f64],
+        grad: &mut [f64],
+    ) -> f64 {
+        assert_eq!(samples.len(), targets.len(), "sample/target count mismatch");
+        let mut loss = 0.0;
+        let mut out = [0.0];
+        for (x, &y) in samples.iter().zip(targets) {
+            self.eval(w, x, &[], scratch, &mut out);
+            let e = out[0] - y;
+            loss += e * e;
+            self.back_prop(w, x, &[], scratch, &[e + e], grad);
+        }
+        loss
     }
 
     /// Extracts the output as an explicit [`Polynomial`] by pushing symbolic
@@ -214,73 +355,13 @@ impl QuadraticNet {
         }
         out
     }
-
-    /// The analytic gradient `∇P(x)` from the chain rule (formula (9) of the
-    /// paper), evaluated numerically. Exists primarily to cross-validate the
-    /// autodiff path; training uses the tape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        // Forward pass storing per-layer pre-activations.
-        let mut act: Vec<f64> = x.to_vec();
-        // Jacobian of current activation w.r.t. input, row-major h × n.
-        let n = self.input_dim;
-        let mut jac: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                let mut row = vec![0.0; n];
-                row[i] = 1.0;
-                row
-            })
-            .collect();
-        let mut offset = 0;
-        for &h in &self.hidden {
-            let fan_in = act.len();
-            let w1 = offset;
-            let b1 = w1 + fan_in * h;
-            let w2 = b1 + h;
-            let b2 = w2 + fan_in * h;
-            let mut next = vec![0.0; h];
-            let mut next_jac: Vec<Vec<f64>> = vec![vec![0.0; n]; h];
-            for o in 0..h {
-                let mut a1 = self.params[b1 + o];
-                let mut a2 = self.params[b2 + o];
-                for (i, a) in act.iter().enumerate() {
-                    a1 += self.params[w1 + o * fan_in + i] * a;
-                    a2 += self.params[w2 + o * fan_in + i] * a;
-                }
-                next[o] = a1 * a2;
-                // d(a1·a2)/dx = a2·W₁ⱼ·J + a1·W₂ⱼ·J (formula (9) layerwise).
-                for d in 0..n {
-                    let mut g1 = 0.0;
-                    let mut g2 = 0.0;
-                    for i in 0..fan_in {
-                        g1 += self.params[w1 + o * fan_in + i] * jac[i][d];
-                        g2 += self.params[w2 + o * fan_in + i] * jac[i][d];
-                    }
-                    next_jac[o][d] = a2 * g1 + a1 * g2;
-                }
-            }
-            offset = b2 + h;
-            act = next;
-            jac = next_jac;
-        }
-        let w = offset;
-        let mut grad = vec![0.0; n];
-        for (o, row) in jac.iter().enumerate() {
-            for (d, g) in grad.iter_mut().enumerate() {
-                *g += self.params[w + o] * row[d];
-            }
-        }
-        grad
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Adam;
+    use proptest::prop_assert;
 
     #[test]
     fn polynomial_matches_forward_on_grid() {
@@ -300,36 +381,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tape_forward_matches_plain() {
-        let net = QuadraticNet::new(3, &[4], 9);
-        let x = [0.1, -0.5, 0.8];
-        let mut tape = Tape::new();
-        let pv: Vec<_> = net.params().iter().map(|&p| tape.input(p)).collect();
-        let xv: Vec<_> = x.iter().map(|&v| tape.input(v)).collect();
-        let y = net.forward_tape(&mut tape, &pv, &xv);
-        assert!((tape.value(y) - net.forward(&x)).abs() < 1e-12);
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// `eval`'s value and tangent channels agree with the extracted
+        /// polynomial and its symbolic Lie derivative, at depth 1 and 2, for
+        /// a field `f(x, w)` taken at both error extremes `w = ∓σ`.
+        #[test]
+        fn eval_matches_polynomial_lie_derivative(
+            seed in 0u64..1000,
+            x in proptest::collection::vec(-1.0f64..1.0, 3),
+            sigma in 0.0f64..0.5,
+        ) {
+            // w sits in slot 3, as in `Ccds::close_loop_with_error`.
+            let field: Vec<Polynomial> = ["x1 + x3", "-x0 - x2^2", "x0*x1 - 2*x3"]
+                .iter()
+                .map(|f| f.parse().expect("field"))
+                .collect();
+            let at = |w: f64| [x[0], x[1], x[2], w];
+            let f_lo: Vec<f64> = field.iter().map(|f| f.eval(&at(-sigma))).collect();
+            let f_hi: Vec<f64> = field.iter().map(|f| f.eval(&at(sigma))).collect();
+            for hidden in [vec![4usize], vec![3, 2]] {
+                let net = QuadraticNet::new(3, &hidden, seed);
+                let p = net.to_polynomial();
+                let lie = snbc_poly::lie_derivative(&p, &field);
+                let want = [p.eval(&x), lie.eval(&at(-sigma)), lie.eval(&at(sigma))];
+                let mut scratch = vec![0.0; net.scratch_len(2)];
+                let mut out = [0.0; 3];
+                net.eval(net.params(), &x, &[&f_lo, &f_hi], &mut scratch, &mut out);
+                for (got, want) in out.iter().zip(&want) {
+                    prop_assert!(
+                        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                        "hidden {hidden:?}: eval {got} vs polynomial {want}"
+                    );
+                }
+            }
+        }
     }
 
-    #[test]
-    fn formula_nine_gradient_matches_autodiff_and_polynomial() {
-        let net = QuadraticNet::new(2, &[3], 13);
-        let x = [0.6, -0.4];
-        // (a) closed-form chain rule (the paper's formula (9)).
-        let g_closed = net.gradient(&x);
-        // (b) autodiff.
-        let mut tape = Tape::new();
-        let pv: Vec<_> = net.params().iter().map(|&p| tape.input(p)).collect();
-        let xv: Vec<_> = x.iter().map(|&v| tape.input(v)).collect();
-        let y = net.forward_tape(&mut tape, &pv, &xv);
-        let g_ad = tape.grad(y, &xv);
-        // (c) symbolic polynomial gradient.
-        let p = net.to_polynomial();
-        for d in 0..2 {
-            let g_sym = p.partial(d).eval(&x);
-            assert!((g_closed[d] - tape.value(g_ad[d])).abs() < 1e-10);
-            assert!((g_closed[d] - g_sym).abs() < 1e-9);
+    /// Fits `net` to `targets` by the warm start's analytic MSE descent
+    /// (Adam at 0.05, 400 full-batch steps) and returns the final mean
+    /// squared error. With `tied`, the second cross-product half is pinned
+    /// to the first (`W₂ = W₁`, `b₂ = b₁`), so every neuron is the square
+    /// `(W₁x + b₁)²` of the classic square network; the two halves'
+    /// gradients are summed onto the shared weights.
+    fn fit(net: &QuadraticNet, samples: &[Vec<f64>], targets: &[f64], tied: bool) -> f64 {
+        let h = net.hidden_sizes()[0];
+        let half = net.input_dim() * h + h;
+        let all = net.params();
+        let expand = |free: &[f64]| -> Vec<f64> {
+            if tied {
+                [&free[..half], free].concat()
+            } else {
+                free.to_vec()
+            }
+        };
+        let mut free = if tied {
+            [&all[..half], &all[2 * half..]].concat()
+        } else {
+            all.to_vec()
+        };
+        let mut opt = Adam::new(free.len(), 0.05);
+        let mut scratch = vec![0.0; net.scratch_len(0)];
+        let mut grad = vec![0.0; net.num_params()];
+        let mut free_grad = vec![0.0; free.len()];
+        for _ in 0..400 {
+            grad.fill(0.0);
+            net.mse_gradient(&expand(&free), samples, targets, &mut scratch, &mut grad);
+            if tied {
+                for k in 0..half {
+                    free_grad[k] = grad[k] + grad[half + k];
+                }
+                free_grad[half..].copy_from_slice(&grad[2 * half..]);
+            } else {
+                free_grad.copy_from_slice(&grad);
+            }
+            opt.step(&mut free, &free_grad);
         }
+        grad.fill(0.0);
+        let sse = net.mse_gradient(&expand(&free), samples, targets, &mut scratch, &mut grad);
+        sse / samples.len() as f64
+    }
+
+    /// The paper's fitting-capability claim (§4.1), measured where it is
+    /// provable: with a single hidden neuron, the square net can only
+    /// express `w·(aᵀx + b)² + c` — a rank-1 quadratic — while the
+    /// cross-product neuron expresses `(a₁ᵀx + b₁)(a₂ᵀx + b₂)`, a rank-2
+    /// (indefinite) form. The saddle `x·y` is exactly representable by the
+    /// latter and provably not by the former.
+    #[test]
+    fn quadratic_net_fits_saddles_better() {
+        let target = |x: &[f64]| x[0] * x[1] - 0.3 * x[0] + 0.1;
+        let samples: Vec<Vec<f64>> = (0..120)
+            .map(|i| {
+                let a = -1.0 + 2.0 * (i % 11) as f64 / 10.0;
+                let b = -1.0 + 2.0 * (i / 11) as f64 / 10.0;
+                vec![a, b]
+            })
+            .collect();
+        let targets: Vec<f64> = samples.iter().map(|x| target(x)).collect();
+        // Best of three seeds each, to dodge unlucky initializations.
+        let best = |tied: bool| {
+            (0..3)
+                .map(|seed| fit(&QuadraticNet::new(2, &[1], seed), &samples, &targets, tied))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (q, s) = (best(false), best(true));
+        assert!(
+            q < 0.2 * s,
+            "quadratic net (mse {q:.2e}) should decisively out-fit the square net (mse {s:.2e})"
+        );
     }
 
     #[test]
@@ -348,166 +509,5 @@ mod tests {
         p[0] = 42.0;
         net.set_params(&p);
         assert_eq!(net.params()[0], 42.0);
-    }
-}
-
-impl QuadraticNet {
-    /// Builds `(B(x), L_f B(x))` on a tape for a **single-hidden-layer**
-    /// network using the closed-form gradient (formula (9) of the paper),
-    /// with the sample `x` and field values `f(x)` as constants. This is the
-    /// learner's fast path: it avoids recording a per-sample backward pass
-    /// (the tape stays ~5× smaller and the loss gradient is one global
-    /// backward sweep). Returns `None` for deeper networks, which fall back
-    /// to the generic double-backprop path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on parameter/input width mismatches.
-    pub fn forward_and_lie_tape(
-        &self,
-        tape: &mut Tape,
-        params: &[Var],
-        x: &[f64],
-        field: &[f64],
-    ) -> Option<(Var, Var)> {
-        self.forward_and_lie2_tape(tape, params, x, field, field)
-            .map(|(b, lie, _)| (b, lie))
-    }
-
-    /// Like [`QuadraticNet::forward_and_lie_tape`] but evaluates the Lie
-    /// derivative against two field samples in one pass (sharing the neuron
-    /// activations) — the learner uses this for the `w = ±σ*` extremes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on parameter/input width mismatches.
-    pub fn forward_and_lie2_tape(
-        &self,
-        tape: &mut Tape,
-        params: &[Var],
-        x: &[f64],
-        field_lo: &[f64],
-        field_hi: &[f64],
-    ) -> Option<(Var, Var, Var)> {
-        if self.hidden.len() != 1 {
-            return None;
-        }
-        assert_eq!(params.len(), self.num_params(), "parameter count mismatch");
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        assert_eq!(field_lo.len(), self.input_dim, "field dimension mismatch");
-        assert_eq!(field_hi.len(), self.input_dim, "field dimension mismatch");
-        let n = self.input_dim;
-        let h = self.hidden[0];
-        let w1 = 0;
-        let b1 = w1 + n * h;
-        let w2 = b1 + h;
-        let b2 = w2 + n * h;
-        let wout = b2 + h;
-        let bout = wout + h;
-
-        let mut b_acc = params[bout];
-        let mut lo_acc = tape.constant(0.0);
-        let mut hi_acc = tape.constant(0.0);
-        let same = field_lo == field_hi;
-        for o in 0..h {
-            // a1 = b1_o + Σ W1[o,i]·xᵢ and the field dots g = Σ W[o,i]·fᵢ
-            // (xᵢ, fᵢ are constants: every term is a fused scale node).
-            let mut a1 = params[b1 + o];
-            let mut a2 = params[b2 + o];
-            let mut g1_lo = tape.constant(0.0);
-            let mut g2_lo = tape.constant(0.0);
-            let mut g1_hi = g1_lo;
-            let mut g2_hi = g2_lo;
-            for i in 0..n {
-                let p1 = params[w1 + o * n + i];
-                let p2 = params[w2 + o * n + i];
-                // Sparse tape construction: skip exactly-zero inputs.
-                if x[i] != 0.0 { // audit:allow(float-eq)
-                    let t1 = tape.scale(p1, x[i]);
-                    a1 = tape.add(a1, t1);
-                    let t2 = tape.scale(p2, x[i]);
-                    a2 = tape.add(a2, t2);
-                }
-                if field_lo[i] != 0.0 { // audit:allow(float-eq)
-                    let s1 = tape.scale(p1, field_lo[i]);
-                    g1_lo = tape.add(g1_lo, s1);
-                    let s2 = tape.scale(p2, field_lo[i]);
-                    g2_lo = tape.add(g2_lo, s2);
-                }
-                if !same && field_hi[i] != 0.0 { // audit:allow(float-eq)
-                    let s1 = tape.scale(p1, field_hi[i]);
-                    g1_hi = tape.add(g1_hi, s1);
-                    let s2 = tape.scale(p2, field_hi[i]);
-                    g2_hi = tape.add(g2_hi, s2);
-                }
-            }
-            // B-contribution: w_out[o]·a1·a2; Lie: w_out[o]·(a2·g1 + a1·g2).
-            let prod = tape.mul(a1, a2);
-            let bterm = tape.mul(params[wout + o], prod);
-            b_acc = tape.add(b_acc, bterm);
-            let t1 = tape.mul(a2, g1_lo);
-            let t2 = tape.mul(a1, g2_lo);
-            let grad_dot = tape.add(t1, t2);
-            let lterm = tape.mul(params[wout + o], grad_dot);
-            lo_acc = tape.add(lo_acc, lterm);
-            if !same {
-                let t1 = tape.mul(a2, g1_hi);
-                let t2 = tape.mul(a1, g2_hi);
-                let grad_dot = tape.add(t1, t2);
-                let lterm = tape.mul(params[wout + o], grad_dot);
-                hi_acc = tape.add(hi_acc, lterm);
-            }
-        }
-        if same {
-            hi_acc = lo_acc;
-        }
-        Some((b_acc, lo_acc, hi_acc))
-    }
-}
-
-#[cfg(test)]
-mod lie_tape_tests {
-    use super::*;
-
-    #[test]
-    fn matches_generic_double_backprop() {
-        let net = QuadraticNet::new(3, &[5], 77);
-        let x = [0.4, -0.9, 0.2];
-        let f = [1.3, -0.5, 0.8];
-        // Fast path.
-        let mut t1 = Tape::new();
-        let pv1: Vec<_> = net.params().iter().map(|&p| t1.input(p)).collect();
-        let (b_fast, lie_fast) = net
-            .forward_and_lie_tape(&mut t1, &pv1, &x, &f)
-            .expect("single hidden layer");
-        // Generic path: forward + grad wrt inputs + dot with the field.
-        let mut t2 = Tape::new();
-        let pv2: Vec<_> = net.params().iter().map(|&p| t2.input(p)).collect();
-        let xv: Vec<_> = x.iter().map(|&v| t2.input(v)).collect();
-        let b_gen = net.forward_tape(&mut t2, &pv2, &xv);
-        let g = t2.grad(b_gen, &xv);
-        let mut lie_gen = t2.constant(0.0);
-        for (gi, &fi) in g.iter().zip(&f) {
-            let s = t2.scale(*gi, fi);
-            lie_gen = t2.add(lie_gen, s);
-        }
-        assert!((t1.value(b_fast) - t2.value(b_gen)).abs() < 1e-12);
-        assert!((t1.value(lie_fast) - t2.value(lie_gen)).abs() < 1e-10);
-        // And the parameter gradients agree too.
-        let gf = t1.grad(lie_fast, &pv1);
-        let gg = t2.grad(lie_gen, &pv2);
-        for (a, b) in gf.iter().zip(&gg) {
-            assert!((t1.value(*a) - t2.value(*b)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn returns_none_for_two_layers() {
-        let net = QuadraticNet::new(2, &[3, 2], 1);
-        let mut t = Tape::new();
-        let pv: Vec<_> = net.params().iter().map(|&p| t.input(p)).collect();
-        assert!(net
-            .forward_and_lie_tape(&mut t, &pv, &[0.1, 0.2], &[1.0, 1.0])
-            .is_none());
     }
 }

@@ -88,26 +88,29 @@ proptest! {
         }
     }
 
-    /// The quadratic network, its tape forward pass and its extracted
-    /// polynomial all agree at random points and parameters.
+    /// The quadratic network's forward pass, its extracted polynomial, and
+    /// its tangent channel against the polynomial's symbolic Lie derivative
+    /// all agree at random points and parameters.
     #[test]
     fn quadratic_net_three_way_agreement(
         seed in 0u64..1000,
         x0 in -1.0f64..1.0,
         x1 in -1.0f64..1.0,
     ) {
-        use snbc_autodiff::Tape;
         use snbc_nn::QuadraticNet;
         let net = QuadraticNet::new(2, &[4], seed);
         let x = [x0, x1];
         let direct = net.forward(&x);
-        let poly = net.to_polynomial().eval(&x);
-        let mut tape = Tape::new();
-        let pv: Vec<_> = net.params().iter().map(|&p| tape.input(p)).collect();
-        let xv: Vec<_> = x.iter().map(|&v| tape.input(v)).collect();
-        let out = net.forward_tape(&mut tape, &pv, &xv);
-        let taped = tape.value(out);
+        let p = net.to_polynomial();
+        let poly = p.eval(&x);
+        let field: Vec<Polynomial> = vec!["x1".parse().unwrap(), "-x0 + x0*x1".parse().unwrap()];
+        let symbolic_lie = snbc_poly::lie_derivative(&p, &field).eval(&x);
+        let f: Vec<f64> = field.iter().map(|fi| fi.eval(&x)).collect();
+        let mut scratch = vec![0.0; net.scratch_len(1)];
+        let mut out = [0.0; 2];
+        net.eval(net.params(), &x, &[&f], &mut scratch, &mut out);
         prop_assert!((direct - poly).abs() < 1e-9);
-        prop_assert!((direct - taped).abs() < 1e-12);
+        prop_assert!((direct - out[0]).abs() < 1e-12);
+        prop_assert!((out[1] - symbolic_lie).abs() < 1e-9 * symbolic_lie.abs().max(1.0));
     }
 }
