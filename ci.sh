@@ -93,9 +93,15 @@ awk '!/^\{"seq":/ { bad = 1 } END { exit bad }' target/ci-artifacts/progress.ndj
 grep -q '"schema":"snbc-progress/1"' target/ci-artifacts/progress.ndjson
 grep -q '^snbc_' target/ci-artifacts/metrics.prom
 target/release/snbc batch examples/batch_jobs.json \
-  --cache-dir "$batch_tmp/cache" --report "$batch_tmp/warm.json" --require-all-hits > /dev/null
+  --cache-dir "$batch_tmp/cache" --report "$batch_tmp/warm.json" --require-all-hits \
+  --metrics-out "$batch_tmp/warm.prom" > /dev/null
 cmp target/ci-artifacts/batch-report.json "$batch_tmp/warm.json"
 grep -q '"schema": "snbc-batch-report/1"' target/ci-artifacts/batch-report.json
+# The environmental counters are folded from cache-hit/job-done events, and
+# cache entries store only the event lines (no metrics.json snapshot).
+grep -qx 'snbc_cache_miss 2' target/ci-artifacts/metrics.prom
+grep -qx 'snbc_cache_hit 2' "$batch_tmp/warm.prom"
+test -z "$(find "$batch_tmp/cache" -name metrics.json)"
 rm -rf "$batch_tmp"
 
 echo "==> observability determinism (canonical stream/snapshot vs threads and cache temperature)"

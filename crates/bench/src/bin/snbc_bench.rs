@@ -199,22 +199,11 @@ fn run_suite(suite: &str, with_trace: bool) -> (Telemetry, bool) {
             ..Default::default()
         };
         let rep = bb.check_at_least_traced(&stress, &dom, &[], 0.0, telemetry.trace());
-        // The box count is gated through the `snbc-metrics/1` registry — the
-        // snapshot is the source of truth the baseline value comes from, so
-        // the registry's accumulate/merge path sits under this gate too.
-        let metrics = Metrics::recording();
-        metrics.add("boxes", rep.boxes_processed as u64);
-        metrics.observe(
-            "boxes_per_query",
-            snbc_metrics::buckets::BOXES,
-            rep.boxes_processed as f64,
-        );
-        let boxes = metrics.snapshot(true).counter("boxes");
-        if boxes == 0 {
+        if rep.boxes_processed == 0 {
             eprintln!("[snbc-bench] interval stress check processed no boxes");
             return (telemetry, false);
         }
-        telemetry.add("boxes", boxes);
+        telemetry.add("boxes", rep.boxes_processed as u64);
         telemetry.add("max_depth", rep.max_depth as u64);
         let holds = rep.verdict == snbc_interval::Verdict::Holds;
         telemetry.flag("holds", holds);

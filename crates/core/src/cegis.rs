@@ -150,7 +150,6 @@ pub struct Snbc {
     cfg: SnbcConfig,
     telemetry: snbc_telemetry::Telemetry,
     progress: snbc_metrics::Progress,
-    metrics: snbc_metrics::Metrics,
 }
 
 impl Snbc {
@@ -160,7 +159,6 @@ impl Snbc {
             cfg,
             telemetry: snbc_telemetry::Telemetry::off(),
             progress: snbc_metrics::Progress::off(),
-            metrics: snbc_metrics::Metrics::off(),
         }
     }
 
@@ -191,20 +189,11 @@ impl Snbc {
     /// Attaches a live progress sink: each [`CegisEngine::step`] emits
     /// `learn-epoch`, `verify-rung` (×3), `cex`, and `round` events under
     /// the handle's scope. See `snbc_metrics::progress` for the event
-    /// vocabulary and the determinism contract.
+    /// vocabulary and the determinism contract; an `snbc_metrics::Metrics`
+    /// registry in the sink folds these events into its counters.
     #[must_use]
     pub fn with_progress(mut self, progress: snbc_metrics::Progress) -> Self {
         self.progress = progress;
-        self
-    }
-
-    /// Attaches a metric registry: each round records `rounds`,
-    /// `cex_points`, `verify_rung_{feasible,infeasible}`, `boxes` (the
-    /// δ-complete fallback oracle's boxes processed), `reseeds`, and the
-    /// `learn_loss` / `cex_points_per_round` histograms.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: snbc_metrics::Metrics) -> Self {
-        self.metrics = metrics;
         self
     }
 
@@ -226,7 +215,6 @@ impl Snbc {
             self.cfg.clone(),
             self.telemetry.clone(),
             self.progress.clone(),
-            self.metrics.clone(),
             bench,
             controller,
         )
@@ -280,7 +268,6 @@ pub struct CegisEngine {
     cfg: SnbcConfig,
     telemetry: snbc_telemetry::Telemetry,
     progress: snbc_metrics::Progress,
-    metrics: snbc_metrics::Metrics,
     /// The open `cegis` span; dropped (closed) at the first terminal status.
     run_span: Option<snbc_telemetry::SpanGuard>,
     t0: Stopwatch,
@@ -308,7 +295,6 @@ impl CegisEngine {
         cfg: SnbcConfig,
         telemetry: snbc_telemetry::Telemetry,
         progress: snbc_metrics::Progress,
-        metrics: snbc_metrics::Metrics,
         bench: &Benchmark,
         controller: &Mlp,
     ) -> Result<Self, SnbcError> {
@@ -355,7 +341,6 @@ impl CegisEngine {
             cfg,
             telemetry: tele,
             progress,
-            metrics,
             run_span: Some(run_span),
             t0,
             system: system.clone(),
@@ -454,10 +439,6 @@ impl CegisEngine {
             .learner
             .train(&self.closed_robust, self.inclusion.sigma_star, &self.sets);
         self.t_learn += tl.elapsed();
-        self.metrics.add("rounds", 1);
-        self.metrics.gauge("learn_loss", loss);
-        self.metrics
-            .observe("learn_loss_per_round", snbc_metrics::buckets::LOSS, loss);
         if self.progress.is_on() {
             self.progress.emit(snbc_metrics::ProgressEvent::LearnEpoch {
                 round: iter as u64,
@@ -482,14 +463,6 @@ impl CegisEngine {
             ("unsafe", &outcome.unsafe_),
             ("flow", &outcome.flow),
         ] {
-            self.metrics.add(
-                if cond.feasible {
-                    "verify_rung_feasible"
-                } else {
-                    "verify_rung_infeasible"
-                },
-                1,
-            );
             if self.progress.is_on() {
                 self.progress.emit(snbc_metrics::ProgressEvent::VerifyRung {
                     round: iter as u64,
@@ -543,76 +516,65 @@ impl CegisEngine {
         let tc = Stopwatch::start();
         let cex_span = tele.span("cex");
         let mut added = self.feed_counterexamples(&outcome, &b, iter);
-        let mut interval_fallback = false;
+        let mut oracle_boxes = None;
         if added == 0 {
             // Gradient ascent found no violating sample although SOS
             // verification failed: fall back to the δ-complete interval
             // oracle, which finds true violations (or certifies there are
             // none, in which case the failure is a relaxation gap and
             // fresh samples sharpen the candidate's margins).
-            interval_fallback = true;
-            added = self.interval_counterexamples(&outcome, &b);
+            let (points, boxes) = self.interval_counterexamples(&outcome, &b);
+            added = points;
+            oracle_boxes = Some(boxes);
         }
         if tele.is_recording() {
             tele.add("points", added as u64);
-            tele.flag("interval_fallback", interval_fallback);
+            tele.flag("interval_fallback", oracle_boxes.is_some());
         }
-        self.metrics.gauge("best_margin", self.best_margin);
-        self.metrics.add("cex_points", added as u64);
-        self.metrics.observe(
-            "cex_points_per_round",
-            snbc_metrics::buckets::POINTS,
-            added as f64,
-        );
-        if interval_fallback {
-            self.metrics.add("interval_fallbacks", 1);
-        }
+        // A plateau round (nothing added even by the oracle) counts toward
+        // a restart of the learner in a fresh basin.
+        self.plateau = if added == 0 { self.plateau + 1 } else { 0 };
+        let reseed = added == 0 && self.plateau >= self.cfg.reseed_after_plateau;
         if self.progress.is_on() {
             self.progress.emit(snbc_metrics::ProgressEvent::Cex {
                 round: iter as u64,
                 points: added as u64,
-                interval_fallback,
+                fallback: oracle_boxes.map(|boxes| snbc_metrics::CexFallback { boxes, reseed }),
             });
         }
         drop(cex_span);
         self.t_cex += tc.elapsed();
-        if added == 0 {
-            self.plateau += 1;
-            if self.plateau >= self.cfg.reseed_after_plateau {
-                // Relaxation-gap plateau: restart the learner in a fresh
-                // basin (new initialization + fresh samples).
-                self.plateau = 0;
-                tele.add("reseeds", 1);
-                self.metrics.add("reseeds", 1);
-                let n = self.system.nvars();
-                let reseed = self.cfg.seed + 1000 * iter as u64;
-                let b_net = QuadraticNet::new(n, &self.nn_b_hidden, reseed);
-                let lambda_net = match &self.lambda_spec {
-                    LambdaSpec::Constant => MultiplierNet::constant(-0.5),
-                    LambdaSpec::Linear(hidden) => MultiplierNet::linear(n, hidden, reseed + 1),
-                };
-                self.learner = Learner::new(b_net, lambda_net, self.cfg.learner.clone());
-                self.sets = TrainingSets::sample(&self.system, self.batch, reseed + 2);
-                if n >= 6 {
-                    warm_start_lyapunov(
-                        &mut self.learner,
-                        &self.system,
-                        &self.closed_nominal,
-                        &self.sets,
-                    );
-                }
-            } else {
-                let extra = TrainingSets::sample(
-                    &self.system,
-                    self.cfg.batch / 4,
-                    self.cfg.seed + 100 + iter as u64,
-                );
-                self.sets.init.extend(extra.init);
-                self.sets.unsafe_.extend(extra.unsafe_);
-                self.sets.domain.extend(extra.domain);
-            }
-        } else {
+        if reseed {
+            // Relaxation-gap plateau: restart the learner in a fresh
+            // basin (new initialization + fresh samples).
             self.plateau = 0;
+            tele.add("reseeds", 1);
+            let n = self.system.nvars();
+            let seed = self.cfg.seed + 1000 * iter as u64;
+            let b_net = QuadraticNet::new(n, &self.nn_b_hidden, seed);
+            let lambda_net = match &self.lambda_spec {
+                LambdaSpec::Constant => MultiplierNet::constant(-0.5),
+                LambdaSpec::Linear(hidden) => MultiplierNet::linear(n, hidden, seed + 1),
+            };
+            self.learner = Learner::new(b_net, lambda_net, self.cfg.learner.clone());
+            self.sets = TrainingSets::sample(&self.system, self.batch, seed + 2);
+            if n >= 6 {
+                warm_start_lyapunov(
+                    &mut self.learner,
+                    &self.system,
+                    &self.closed_nominal,
+                    &self.sets,
+                );
+            }
+        } else if added == 0 {
+            let extra = TrainingSets::sample(
+                &self.system,
+                self.cfg.batch / 4,
+                self.cfg.seed + 100 + iter as u64,
+            );
+            self.sets.init.extend(extra.init);
+            self.sets.unsafe_.extend(extra.unsafe_);
+            self.sets.domain.extend(extra.domain);
         }
         self.rounds = iter;
         if self.progress.is_on() {
@@ -675,8 +637,13 @@ impl CegisEngine {
     }
 
     /// δ-complete fallback oracle: asks the interval verifier for concrete
-    /// violations of each failed condition. Returns points added.
-    fn interval_counterexamples(&mut self, outcome: &VerificationOutcome, b: &Polynomial) -> usize {
+    /// violations of each failed condition. Returns the points added and
+    /// the boxes each query processed.
+    fn interval_counterexamples(
+        &mut self,
+        outcome: &VerificationOutcome,
+        b: &Polynomial,
+    ) -> (usize, Vec<u64>) {
         use snbc_interval::{BranchAndBound, Interval, Verdict};
         let bb = BranchAndBound {
             delta: 1e-3,
@@ -691,11 +658,10 @@ impl CegisEngine {
         };
         let system = &self.system;
         let mut added = 0;
+        let mut boxes = Vec::new();
         if !outcome.init.feasible {
             let r = bb.check_at_least(b, &boxed(system.init()), system.init().polys(), 0.0);
-            self.metrics.add("boxes", r.boxes_processed as u64);
-            self.metrics
-                .observe("boxes_per_query", snbc_metrics::buckets::BOXES, r.boxes_processed as f64);
+            boxes.push(r.boxes_processed as u64);
             if let Verdict::Violated { witness, .. } = r.verdict {
                 self.sets.init.push(witness);
                 added += 1;
@@ -709,9 +675,7 @@ impl CegisEngine {
                 system.unsafe_set().polys(),
                 1e-12,
             );
-            self.metrics.add("boxes", r.boxes_processed as u64);
-            self.metrics
-                .observe("boxes_per_query", snbc_metrics::buckets::BOXES, r.boxes_processed as f64);
+            boxes.push(r.boxes_processed as u64);
             if let Verdict::Violated { witness, .. } = r.verdict {
                 self.sets.unsafe_.push(witness);
                 added += 1;
@@ -725,16 +689,14 @@ impl CegisEngine {
             let sigma = self.inclusion.sigma_star.max(1e-9);
             dom.push(Interval::new(-sigma, sigma));
             let r = bb.check_at_least(&expr, &dom, system.domain().polys(), 0.0);
-            self.metrics.add("boxes", r.boxes_processed as u64);
-            self.metrics
-                .observe("boxes_per_query", snbc_metrics::buckets::BOXES, r.boxes_processed as f64);
+            boxes.push(r.boxes_processed as u64);
             if let Verdict::Violated { mut witness, .. } = r.verdict {
                 witness.truncate(system.nvars());
                 self.sets.domain.push(witness);
                 added += 1;
             }
         }
-        added
+        (added, boxes)
     }
 }
 

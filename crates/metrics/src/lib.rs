@@ -6,12 +6,11 @@
 //! other two layers cannot:
 //!
 //! * **What are the aggregate counts right now?** — the [`Metrics`]
-//!   registry: monotonic counters, gauges, and fixed-bucket histograms
-//!   whose merges are index-ordered and therefore bitwise deterministic at
-//!   any `SNBC_THREADS` setting. A registry snapshots to the canonical
-//!   `snbc-metrics/1` JSON document ([`MetricsSnapshot`], byte-identical
-//!   round-trip) and to Prometheus text exposition
-//!   ([`prom::to_prometheus`], textfile-collector style — no network).
+//!   registry: monotonic counters, gauges, and fixed-bucket histograms,
+//!   folded from the progress events below. A registry snapshots to the
+//!   canonical `snbc-metrics/1` JSON document ([`MetricsSnapshot`]) and to
+//!   Prometheus text exposition ([`prom::to_prometheus`],
+//!   textfile-collector style — no network).
 //! * **What is the pipeline doing while it runs?** — the [`Progress`]
 //!   stream: typed `snbc-progress/1` events (`job-start`, `round`,
 //!   `learn-epoch`, `verify-rung`, `cex`, `wave`, `cache-hit`, `job-done`)
@@ -20,20 +19,20 @@
 //!
 //! # Determinism model
 //!
-//! Both halves follow the same discipline as `snbc-telemetry`'s
-//! `fork`/`adopt`: concurrent producers write into private forks
-//! ([`Metrics::fork`], [`Progress::fork_buffer`]) and a single-threaded
-//! driver merges them in a **fixed index order** at a barrier
-//! ([`Metrics::merge`], [`Progress::drain_into`]). Because every producer is
-//! deterministic in isolation and the merge order is fixed, the merged
-//! registry and the drained event sequence are byte-identical at any worker
-//! count.
+//! Each pipeline fact is recorded once, as a [`ProgressEvent`]. Concurrent
+//! producers (racing candidates) emit into private buffers
+//! ([`Progress::fork_buffer`]) that a single-threaded driver drains in a
+//! **fixed index order** at a barrier ([`Progress::drain_into`]), and a
+//! cache hit replays the stored event lines ([`Progress::replay`]). The
+//! [`Metrics`] registry is an [`EventSink`] on that same drained sequence:
+//! its snapshot is a fold of the stream, so it inherits the stream's
+//! determinism with no merge order of its own.
 //!
 //! Wall-clock and cache-temperature effects are quarantined rather than
 //! forbidden: live NDJSON lines carry a `t_us` timestamp and `cache-hit`
 //! events, while the **canonical** stream mode strips `t_us` and skips
 //! *environmental* events, and [`Metrics::snapshot`] with `canonical =
-//! true` skips environment-dependent entries (`add_env`/`gauge_env`). The
+//! true` skips the environmental `cache_hit`/`cache_miss` counters. The
 //! canonical artifacts are byte-identical across `SNBC_THREADS` settings
 //! *and* across cold/warm cache runs (`tests/progress_determinism.rs` holds
 //! that line); the live artifacts are for humans and dashboards.
@@ -45,10 +44,10 @@ pub mod progress;
 pub mod prom;
 pub mod registry;
 
-pub use progress::{EventSink, Progress, ProgressEvent, Scope, PROGRESS_SCHEMA};
+pub use progress::{CexFallback, EventSink, Progress, ProgressEvent, Scope, PROGRESS_SCHEMA};
 pub use registry::{buckets, HistogramSnapshot, Metrics, MetricsSnapshot, METRICS_SCHEMA};
 
 // The hand-rolled JSON module both schemas serialize through; re-exported
 // (like `snbc-telemetry` does) so downstream crates need no direct
-// `snbc-trace` dependency to parse snapshots or progress lines.
+// `snbc-trace` dependency to read progress lines.
 pub use snbc_trace::json;

@@ -8,7 +8,7 @@
 //! | `job-start`   | `run_batch`, per job               | `name` |
 //! | `learn-epoch` | `CegisEngine::step`, per round     | `round`, `loss` |
 //! | `verify-rung` | `CegisEngine::step`, ×3 per round  | `round`, `rung`, `feasible`, `margin` |
-//! | `cex`         | `CegisEngine::step`, per failed round | `round`, `points`, `interval_fallback` |
+//! | `cex`         | `CegisEngine::step`, per failed round | `round`, `points`, `interval_fallback` (+ `boxes`, `reseed` when true) |
 //! | `round`       | `CegisEngine::step`, round summary | `round`, `status` |
 //! | `wave`        | `race()`, per wave barrier         | `wave`, `live`, `certified` |
 //! | `cache-hit`   | `run_batch`, cache-served job      | — (environmental) |
@@ -38,7 +38,9 @@
 //!   so the canonical stream stays byte-identical cold vs. warm;
 //! * **fanout** — broadcasts to several sinks (the CLI combines an NDJSON
 //!   writer with its human stderr renderer);
-//! * **custom** — any [`EventSink`] implementation.
+//! * **custom** — any [`EventSink`] implementation: the CLI's human
+//!   renderer, or a [`Metrics`](crate::Metrics) registry, which folds the
+//!   events it is fed into counters, gauges and histograms.
 //!
 //! Replayed events (from a cache entry) reach canonical writers — which
 //! re-sequence them — but are skipped by live writers and flagged to custom
@@ -78,11 +80,13 @@ pub enum ProgressEvent {
         margin: f64,
     },
     /// The counterexample phase of a failed round fed back `points`
-    /// samples (`interval_fallback`: the δ-complete oracle was needed).
+    /// samples. `fallback` is set when gradient ascent found none and the
+    /// δ-complete interval oracle was queried (wire field
+    /// `interval_fallback`).
     Cex {
         round: u64,
         points: u64,
-        interval_fallback: bool,
+        fallback: Option<CexFallback>,
     },
     /// A CEGIS round finished with this status
     /// (`in-progress` / `certified` / `exhausted` / `timed-out`).
@@ -102,6 +106,17 @@ pub enum ProgressEvent {
         winner_index: Option<u64>,
         iterations: Option<u64>,
     },
+}
+
+/// What the δ-complete interval oracle did in a `cex` round: the boxes
+/// each of its queries processed (one query per failed condition, in
+/// `init`, `unsafe`, `flow` order), and whether the round's plateau
+/// restarted the learner. A reseed only follows a round in which the
+/// oracle, too, added no point, so it lives here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CexFallback {
+    pub boxes: Vec<u64>,
+    pub reseed: bool,
 }
 
 impl ProgressEvent {
@@ -164,11 +179,20 @@ fn event_pairs(scope: Scope, ev: &ProgressEvent) -> Vec<(String, Value)> {
         ProgressEvent::Cex {
             round,
             points,
-            interval_fallback,
+            fallback,
         } => {
             pairs.push(("round".to_string(), Value::Int(*round)));
             pairs.push(("points".to_string(), Value::Int(*points)));
-            pairs.push(("interval_fallback".to_string(), Value::Bool(*interval_fallback)));
+            pairs.push(("interval_fallback".to_string(), Value::Bool(fallback.is_some())));
+            // Only fallback rounds carry the oracle payload, so a line
+            // without a fallback reads exactly as it always has.
+            if let Some(fb) = fallback {
+                pairs.push((
+                    "boxes".to_string(),
+                    Value::Arr(fb.boxes.iter().map(|&b| Value::Int(b)).collect()),
+                ));
+                pairs.push(("reseed".to_string(), Value::Bool(fb.reseed)));
+            }
         }
         ProgressEvent::Round { round, status } => {
             pairs.push(("round".to_string(), Value::Int(*round)));
@@ -265,10 +289,27 @@ pub fn event_from_value(v: &Value) -> Result<(Scope, ProgressEvent), String> {
             feasible: flag("feasible")?,
             margin: float("margin")?,
         },
+        // A fallback line without its `boxes`/`reseed` payload (written
+        // before the payload existed) is rejected: replaying it would fold
+        // into a snapshot that lacks the oracle's counters.
         "cex" => ProgressEvent::Cex {
             round: int("round")?,
             points: int("points")?,
-            interval_fallback: flag("interval_fallback")?,
+            fallback: if flag("interval_fallback")? {
+                let boxes = v
+                    .get("boxes")
+                    .and_then(Value::as_array)
+                    .ok_or("`cex` fallback missing array `boxes`")?
+                    .iter()
+                    .map(|b| b.as_u64().ok_or("`cex`: non-integer box count"))
+                    .collect::<Result<Vec<u64>, _>>()?;
+                Some(CexFallback {
+                    boxes,
+                    reseed: flag("reseed")?,
+                })
+            } else {
+                None
+            },
         },
         "round" => ProgressEvent::Round {
             round: int("round")?,
@@ -314,8 +355,8 @@ pub fn parse_stream(text: &str) -> Result<Vec<(Scope, ProgressEvent)>, String> {
 }
 
 /// Consumer interface for in-process event subscribers (the CLI's human
-/// stderr renderer). `replayed` marks events reconstructed from a cache
-/// entry rather than produced by a live race.
+/// stderr renderer, the metric registry's fold). `replayed` marks events
+/// reconstructed from a cache entry rather than produced by a live race.
 pub trait EventSink: Send + Sync {
     fn event(&self, scope: Scope, event: &ProgressEvent, replayed: bool);
 }
@@ -623,7 +664,12 @@ mod tests {
                 feasible: false,
                 margin: -0.5,
             },
-            ProgressEvent::Cex { round: 1, points: 7, interval_fallback: true },
+            ProgressEvent::Cex { round: 1, points: 0, fallback: None },
+            ProgressEvent::Cex {
+                round: 1,
+                points: 7,
+                fallback: Some(CexFallback { boxes: vec![12, 3], reseed: true }),
+            },
             ProgressEvent::Round { round: 1, status: "in-progress".to_string() },
             ProgressEvent::Wave { wave: 2, live: 1, certified: 1 },
             ProgressEvent::CacheHit,
@@ -664,8 +710,8 @@ mod tests {
             canon.emit(ev);
         }
         let live_lines: Vec<String> = live_out.text().lines().map(str::to_string).collect();
-        // Header + 8 events.
-        assert_eq!(live_lines.len(), 9);
+        // Header + 9 events.
+        assert_eq!(live_lines.len(), 10);
         assert!(live_lines[0].contains("\"ev\":\"stream-start\""));
         assert!(live_lines[0].contains(PROGRESS_SCHEMA));
         for (i, line) in live_lines.iter().enumerate() {
@@ -676,8 +722,8 @@ mod tests {
             assert!(line.contains("\"t_us\":"), "live lines carry time: {line}");
         }
         let canon_lines: Vec<String> = canon_out.text().lines().map(str::to_string).collect();
-        // Header + 7 events: `cache-hit` is environmental and skipped.
-        assert_eq!(canon_lines.len(), 8);
+        // Header + 8 events: `cache-hit` is environmental and skipped.
+        assert_eq!(canon_lines.len(), 9);
         for line in &canon_lines {
             assert!(!line.contains("t_us"), "canonical strips time: {line}");
             assert!(!line.contains("cache-hit"));
@@ -745,5 +791,7 @@ mod tests {
         assert!(parse_stream("not json").is_err());
         assert!(parse_stream("{\"ev\":\"no-such-event\"}").is_err());
         assert!(parse_stream("{\"ev\":\"round\",\"round\":1}").is_err(), "missing field");
+        let pre_payload = "{\"ev\":\"cex\",\"round\":1,\"points\":0,\"interval_fallback\":true}";
+        assert!(parse_stream(pre_payload).is_err(), "fallback without its oracle payload");
     }
 }

@@ -78,18 +78,31 @@ fn number(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{buckets, Metrics};
+    use crate::registry::{buckets, CounterSnapshot, GaugeSnapshot, HistogramSnapshot};
 
     /// Golden exposition: one counter, one gauge, one histogram.
     #[test]
     fn exposition_matches_golden_output() {
-        let m = Metrics::recording();
-        m.add_env("cache_hit", 2);
-        m.gauge("best_margin", -0.25);
-        for v in [0.5, 3.0, 200.0] {
-            m.observe("waves_per_job", buckets::WAVES, v);
-        }
-        let text = to_prometheus(&m.snapshot(false));
+        let snap = MetricsSnapshot {
+            counters: vec![CounterSnapshot {
+                name: "cache_hit".to_string(),
+                value: 2,
+                env: true,
+            }],
+            gauges: vec![GaugeSnapshot {
+                name: "best_margin".to_string(),
+                value: -0.25,
+            }],
+            // Observations 0.5, 3.0 and 200.0 on the WAVES grid.
+            hists: vec![HistogramSnapshot {
+                name: "waves_per_job".to_string(),
+                bounds: buckets::WAVES.to_vec(),
+                counts: vec![1, 0, 1, 0, 0, 0, 1],
+                sum: 203.5,
+                count: 3,
+            }],
+        };
+        let text = to_prometheus(&snap);
         let expected = "\
 # HELP snbc_cache_hit snbc-metrics/1 counter cache_hit
 # TYPE snbc_cache_hit counter

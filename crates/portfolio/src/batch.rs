@@ -15,22 +15,22 @@
 //!
 //! # Observability
 //!
-//! The batch driver is the pipeline's progress/metrics aggregation point:
-//! each job gets a job-scoped [`Progress`] handle (`job-start`, the race's
-//! per-round events, `job-done`) and every job's race records into a fresh
-//! per-job registry that is merged into the run-level [`Metrics`] **in job
-//! order**. On a cache miss the job's canonical event lines and canonical
-//! metric snapshot are stored next to the certificate; on a hit they are
-//! replayed/merged back (plus an environmental `cache-hit` event and
-//! `cache_hit` counter), which keeps the canonical stream and snapshot
-//! byte-identical between cold and warm runs — see `docs/OBSERVABILITY.md`.
+//! The batch driver is the pipeline's progress aggregation point: each job
+//! gets a job-scoped [`Progress`] handle (`job-start`, the race's per-round
+//! events, `job-done`). The caller's [`Metrics`] registry joins that
+//! handle's fanout, so the run-level snapshot is a fold of the same event
+//! sequence a canonical writer sees. On a cache miss the job's canonical
+//! event lines are stored next to the certificate; on a hit they are
+//! replayed (after an environmental `cache-hit` event), which keeps the
+//! canonical stream, and with it the canonical snapshot, byte-identical
+//! between cold and warm runs — see `docs/OBSERVABILITY.md`.
 
 use std::path::PathBuf;
 
 use snbc::{SafetyCertificate, SnbcConfig};
 use snbc_dynamics::benchmarks::{self, Benchmark};
 use snbc_metrics::progress::parse_stream;
-use snbc_metrics::{Metrics, MetricsSnapshot, Progress, ProgressEvent};
+use snbc_metrics::{Metrics, Progress, ProgressEvent};
 use snbc_nn::{train_controller, ControllerTraining, Mlp};
 use snbc_telemetry::json::{self, Value};
 use snbc_telemetry::Telemetry;
@@ -227,10 +227,11 @@ impl BatchOutcome {
 ///
 /// Each job is bracketed by `job-start`/`job-done` events on a job-scoped
 /// clone of `progress`, with the race's per-round events in between (live
-/// on a miss, replayed from the cache entry on a hit). `metrics` gains each
-/// job's per-job registry merged in job order plus the environmental
-/// `cache_hit`/`cache_miss` counters; telemetry gains a `batch` span with
-/// one indexed `job` span per job carrying the same hit/miss counters.
+/// on a miss, replayed from the cache entry on a hit). `metrics` folds
+/// those events (see `snbc_metrics::registry`), including the
+/// environmental `cache_hit`/`cache_miss` counters; telemetry gains a
+/// `batch` span with one indexed `job` span per job carrying the same
+/// hit/miss counters.
 pub fn run_batch(
     spec: &BatchSpec,
     opts: &BatchOptions,
@@ -246,7 +247,11 @@ pub fn run_batch(
         resolve,
         cache: cache.as_ref(),
         telemetry,
-        metrics,
+    };
+    let progress = if metrics.is_recording() {
+        Progress::fanout(vec![progress.clone(), Progress::custom(Box::new(metrics.clone()))])
+    } else {
+        progress.clone()
     };
     let mut jobs = Vec::with_capacity(spec.jobs.len());
     for (index, job) in spec.jobs.iter().enumerate() {
@@ -257,10 +262,6 @@ pub fn run_batch(
             name: job.name.clone(),
         });
         let outcome = run_job(index, job, &ctx, &jp)?;
-        metrics.add("jobs", 1);
-        if outcome.result.certified {
-            metrics.add("jobs_certified", 1);
-        }
         jp.emit(ProgressEvent::JobDone {
             name: outcome.name.clone(),
             certified: outcome.result.certified,
@@ -282,7 +283,6 @@ struct JobCtx<'a> {
     resolve: SystemResolver<'a>,
     cache: Option<&'a CertificateCache>,
     telemetry: &'a Telemetry,
-    metrics: &'a Metrics,
 }
 
 fn run_job(
@@ -319,15 +319,13 @@ fn run_job(
     let key = CacheKey::new(&bench.system, &controller, &base, &job.grid);
 
     if let Some(cache) = ctx.cache {
-        if let Some((result, events, snap)) = cached_result(cache, &key) {
+        if let Some((result, events)) = cached_result(cache, &key) {
             ctx.telemetry.add("cache_hit", 1);
-            ctx.metrics.add_env("cache_hit", 1);
             // The hit marker is environmental (live streams only); the
             // stored race events replay into canonical sinks so the
             // canonical stream is byte-identical to the cold run's.
             progress.emit(ProgressEvent::CacheHit);
             progress.replay(&events);
-            ctx.metrics.merge_snapshot(&snap);
             return Ok(JobOutcome {
                 name: job.name.clone(),
                 key,
@@ -337,14 +335,12 @@ fn run_job(
         }
     }
     ctx.telemetry.add("cache_miss", 1);
-    ctx.metrics.add_env("cache_miss", 1);
 
-    // The race records into a capture sink and a fresh per-job registry
-    // regardless of the caller's sinks, so a stored entry always carries
-    // complete canonical artifacts for warm-run replay.
+    // The race records into a capture sink regardless of the caller's
+    // sinks, so a stored entry always carries the complete canonical event
+    // lines for warm-run replay.
     let capture = Progress::capture();
     let race_progress = Progress::fanout(vec![progress.clone(), capture.clone()]);
-    let job_metrics = Metrics::recording();
     let outcome = race(
         &bench,
         &controller,
@@ -352,9 +348,7 @@ fn run_job(
         &job.grid,
         ctx.telemetry,
         &race_progress,
-        &job_metrics,
     );
-    ctx.metrics.merge(&job_metrics);
     let result = match outcome.winner {
         Some(winner) => JobResult {
             certified: true,
@@ -380,16 +374,14 @@ fn run_job(
     // Only certified outcomes enter the cache: the key deliberately excludes
     // `time_limit`, so a failure (which may be budget-dependent) must never
     // be pinned — a later run under a larger budget gets to race again.
-    if result.certified {
-        if let Some(cache) = ctx.cache {
-            cache.store(
-                &key,
-                &result.to_json().to_pretty_string(),
-                result.certificate.as_deref(),
-                Some(&capture.captured()),
-                Some(&job_metrics.snapshot(true).to_json_string()),
-            )?;
-        }
+    // Only a certified result carries a certificate.
+    if let (Some(cache), Some(certificate)) = (ctx.cache, result.certificate.as_deref()) {
+        cache.store(
+            &key,
+            &result.to_json().to_pretty_string(),
+            certificate,
+            &capture.captured(),
+        )?;
     }
     Ok(JobOutcome {
         name: job.name.clone(),
@@ -402,12 +394,12 @@ fn run_job(
 /// Reads and validates a cached entry; any defect — unparseable JSON, a
 /// non-certified result (only certified outcomes are ever stored), a
 /// result/certificate mismatch, a certificate that fails to re-parse, or
-/// missing/corrupt observability artifacts (entries written before they
-/// existed included) — makes this a miss, and the job re-races.
+/// corrupt event lines (a pre-payload `cex` fallback line included) — makes
+/// this a miss, and the job re-races.
 fn cached_result(
     cache: &CertificateCache,
     key: &CacheKey,
-) -> Option<(JobResult, Vec<(snbc_metrics::Scope, ProgressEvent)>, MetricsSnapshot)> {
+) -> Option<(JobResult, Vec<(snbc_metrics::Scope, ProgressEvent)>)> {
     let entry = cache.lookup(key)?;
     let value = json::parse(&entry.result_json).ok()?;
     let result = JobResult::from_json(&value).ok()?;
@@ -416,12 +408,11 @@ fn cached_result(
     }
     let cert_text = result.certificate.as_deref()?;
     let _reparsed: SafetyCertificate = cert_text.parse().ok()?;
-    if entry.certificate.as_deref() != Some(cert_text) {
+    if entry.certificate != cert_text {
         return None;
     }
-    let events = parse_stream(entry.progress_ndjson.as_deref()?).ok()?;
-    let snap = MetricsSnapshot::parse(entry.metrics_json.as_deref()?).ok()?;
-    Some((result, events, snap))
+    let events = parse_stream(&entry.progress_ndjson).ok()?;
+    Some((result, events))
 }
 
 #[cfg(test)]
@@ -494,7 +485,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("snbc-batch-test-{}", key.hash()));
         let cache = CertificateCache::new(&dir);
         cache
-            .store(&key, &failed.to_json().to_pretty_string(), None, None, None)
+            .store(&key, &failed.to_json().to_pretty_string(), "", "")
             .unwrap();
         assert!(
             cached_result(&cache, &key).is_none(),

@@ -12,21 +12,22 @@
 //! ever stores certified outcomes.
 //!
 //! The key text is hashed (two independent 64-bit FNV-1a passes → 32 hex
-//! characters) into a directory name holding three artifacts:
+//! characters) into a directory name holding four artifacts:
 //!
 //! ```text
 //! <cache>/<hash>/key.json          # the canonical key, for collision checks
 //! <cache>/<hash>/result.json       # the job result (snbc-batch-report/1 shape)
 //! <cache>/<hash>/certificate.txt   # the SafetyCertificate, human-readable
 //! <cache>/<hash>/progress.ndjson   # canonical snbc-progress/1 event lines
-//! <cache>/<hash>/metrics.json      # canonical snbc-metrics/1 per-job snapshot
 //! ```
 //!
-//! The last two are the **observability artifacts**: the canonical (seq- and
-//! job-less) progress events the job emitted and its per-job metric
-//! snapshot. On a cache hit the batch driver replays the events and merges
-//! the snapshot, which is what keeps the canonical progress stream and the
-//! run-level metrics snapshot byte-identical between cold and warm runs.
+//! The last one is the **observability artifact**: the canonical (seq- and
+//! job-less) progress events the job's race emitted. On a cache hit the
+//! batch driver replays them, which keeps the canonical progress stream
+//! byte-identical between cold and warm runs; the run-level metrics
+//! snapshot is a fold of that stream, so it follows. An entry missing any
+//! artifact is a miss. A `metrics.json` left by an older layout is
+//! ignored.
 //!
 //! A lookup re-reads `key.json` and compares it byte-for-byte with the
 //! probe's canonical text, so even a full 128-bit hash collision degrades to
@@ -86,13 +87,10 @@ pub struct CertificateCache {
 pub struct CachedEntry {
     /// The stored `result.json` text.
     pub result_json: String,
-    /// The stored certificate text, when the entry has one.
-    pub certificate: Option<String>,
-    /// The stored canonical progress event lines, when the entry has them
-    /// (entries written before the observability artifacts existed do not).
-    pub progress_ndjson: Option<String>,
-    /// The stored canonical per-job metrics snapshot text, when present.
-    pub metrics_json: Option<String>,
+    /// The stored certificate text.
+    pub certificate: String,
+    /// The stored canonical progress event lines.
+    pub progress_ndjson: String,
 }
 
 impl CertificateCache {
@@ -106,28 +104,25 @@ impl CertificateCache {
         &self.dir
     }
 
-    /// Looks `key` up. Any failure — missing entry, unreadable files, or a
-    /// key-byte mismatch (hash collision) — is reported as a miss.
+    /// Looks `key` up. Any failure — missing entry, a missing or unreadable
+    /// artifact, or a key-byte mismatch (hash collision) — is reported as a
+    /// miss.
     pub fn lookup(&self, key: &CacheKey) -> Option<CachedEntry> {
         let entry = self.dir.join(key.hash());
         let stored_key = std::fs::read_to_string(entry.join("key.json")).ok()?;
         if stored_key != key.canonical() {
             return None;
         }
-        let result_json = std::fs::read_to_string(entry.join("result.json")).ok()?;
-        let certificate = std::fs::read_to_string(entry.join("certificate.txt")).ok();
-        let progress_ndjson = std::fs::read_to_string(entry.join("progress.ndjson")).ok();
-        let metrics_json = std::fs::read_to_string(entry.join("metrics.json")).ok();
+        let read = |name: &str| std::fs::read_to_string(entry.join(name)).ok();
         Some(CachedEntry {
-            result_json,
-            certificate,
-            progress_ndjson,
-            metrics_json,
+            result_json: read("result.json")?,
+            certificate: read("certificate.txt")?,
+            progress_ndjson: read("progress.ndjson")?,
         })
     }
 
-    /// Stores a result (and its certificate and observability artifacts,
-    /// when present) under `key`.
+    /// Stores a result, its certificate and its canonical event lines under
+    /// `key`.
     ///
     /// The entry is written into a private temp directory and published with
     /// one atomic `rename`, so a reader (or a crash) can never observe a
@@ -141,9 +136,8 @@ impl CertificateCache {
         &self,
         key: &CacheKey,
         result_json: &str,
-        certificate: Option<&str>,
-        progress_ndjson: Option<&str>,
-        metrics_json: Option<&str>,
+        certificate: &str,
+        progress_ndjson: &str,
     ) -> Result<(), BatchError> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -161,25 +155,17 @@ impl CertificateCache {
             STORE_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
         std::fs::create_dir_all(&tmp).map_err(|e| io(&tmp, e))?;
-        let staged = (|| -> Result<(), BatchError> {
-            let key_path = tmp.join("key.json");
-            std::fs::write(&key_path, key.canonical()).map_err(|e| io(&key_path, e))?;
-            let result_path = tmp.join("result.json");
-            std::fs::write(&result_path, result_json).map_err(|e| io(&result_path, e))?;
-            if let Some(cert) = certificate {
-                let cert_path = tmp.join("certificate.txt");
-                std::fs::write(&cert_path, cert).map_err(|e| io(&cert_path, e))?;
-            }
-            if let Some(events) = progress_ndjson {
-                let events_path = tmp.join("progress.ndjson");
-                std::fs::write(&events_path, events).map_err(|e| io(&events_path, e))?;
-            }
-            if let Some(snap) = metrics_json {
-                let snap_path = tmp.join("metrics.json");
-                std::fs::write(&snap_path, snap).map_err(|e| io(&snap_path, e))?;
-            }
-            Ok(())
-        })();
+        let staged = [
+            ("key.json", key.canonical()),
+            ("result.json", result_json),
+            ("certificate.txt", certificate),
+            ("progress.ndjson", progress_ndjson),
+        ]
+        .iter()
+        .try_for_each(|(name, text)| {
+            let path = tmp.join(name);
+            std::fs::write(&path, text).map_err(|e| io(&path, e))
+        });
         if let Err(e) = staged {
             // Best-effort teardown: the staging failure is the real error.
             let _ = std::fs::remove_dir_all(&tmp); // audit:allow(swallowed-result)
@@ -468,16 +454,17 @@ mod tests {
             .store(
                 &key,
                 "{\"certified\":true}",
-                Some("certificate body"),
-                Some("{\"ev\":\"job-done\"}\n"),
-                Some("{\"schema\":\"snbc-metrics/1\"}"),
+                "certificate body",
+                "{\"ev\":\"job-done\"}\n",
             )
             .unwrap();
         let hit = cache.lookup(&key).expect("warm cache hits");
         assert_eq!(hit.result_json, "{\"certified\":true}");
-        assert_eq!(hit.certificate.as_deref(), Some("certificate body"));
-        assert_eq!(hit.progress_ndjson.as_deref(), Some("{\"ev\":\"job-done\"}\n"));
-        assert_eq!(hit.metrics_json.as_deref(), Some("{\"schema\":\"snbc-metrics/1\"}"));
+        assert_eq!(hit.certificate, "certificate body");
+        assert_eq!(hit.progress_ndjson, "{\"ev\":\"job-done\"}\n");
+        // An entry missing an artifact is a miss.
+        std::fs::remove_file(dir.join(key.hash()).join("progress.ndjson")).unwrap();
+        assert!(cache.lookup(&key).is_none(), "incomplete entries miss");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -487,12 +474,14 @@ mod tests {
         let other = c3_key(vec![1, 2]);
         let dir = std::env::temp_dir().join(format!("snbc-cache-test-x-{}", key.hash()));
         let cache = CertificateCache::new(&dir);
-        cache.store(&key, "{}", None, None, None).unwrap();
+        cache.store(&key, "{}", "", "").unwrap();
         // Forge a directory under `other`'s hash holding `key`'s key bytes.
         let forged = dir.join(other.hash());
         std::fs::create_dir_all(&forged).unwrap();
         std::fs::write(forged.join("key.json"), key.canonical()).unwrap();
-        std::fs::write(forged.join("result.json"), "{}").unwrap();
+        for name in ["result.json", "certificate.txt", "progress.ndjson"] {
+            std::fs::write(forged.join(name), "{}").unwrap();
+        }
         assert!(cache.lookup(&other).is_none(), "key bytes must match exactly");
         std::fs::remove_dir_all(&dir).unwrap();
     }

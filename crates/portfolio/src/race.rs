@@ -36,7 +36,7 @@
 
 use snbc::{CegisEngine, CegisStatus, Snbc, SnbcConfig, SnbcResult};
 use snbc_dynamics::benchmarks::Benchmark;
-use snbc_metrics::{Metrics, Progress, ProgressEvent};
+use snbc_metrics::{Progress, ProgressEvent};
 use snbc_nn::Mlp;
 use snbc_telemetry::Telemetry;
 
@@ -72,9 +72,6 @@ struct Candidate {
     /// Private event buffer, drained into the race's sink in grid-index
     /// order at each wave barrier (see the module docs on determinism).
     prog: Progress,
-    /// Private metric registry fork, merged in grid-index order after the
-    /// race settles.
-    met: Metrics,
     lane: Lane,
 }
 
@@ -98,8 +95,7 @@ impl Candidate {
             Lane::Pending(cfg) => {
                 let snbc = Snbc::new(*cfg)
                     .with_telemetry(self.tele.clone())
-                    .with_progress(self.prog.clone())
-                    .with_metrics(self.met.clone());
+                    .with_progress(self.prog.clone());
                 match snbc.engine(bench, controller) {
                     Ok(engine) => Lane::Running(Box::new(engine)),
                     Err(e) => Lane::Failed(e.to_string()),
@@ -144,7 +140,6 @@ pub fn race(
     grid: &ConfigGrid,
     telemetry: &Telemetry,
     progress: &Progress,
-    metrics: &Metrics,
 ) -> RaceOutcome {
     let span = telemetry.span("race");
     let mut candidates: Vec<Candidate> = grid
@@ -161,7 +156,6 @@ pub fn race(
             Candidate {
                 tele: telemetry.fork(),
                 prog: progress.fork_buffer().with_candidate(cfg.index as u64),
-                met: metrics.fork(),
                 lane: Lane::Pending(Box::new(applied)),
                 cfg,
             }
@@ -205,19 +199,6 @@ pub fn race(
             break;
         }
     }
-
-    // Merge candidate registries in grid order (the index order fixes the
-    // float accumulation order of histogram sums), then the race counters.
-    for cand in &candidates {
-        metrics.merge(&cand.met);
-    }
-    metrics.add("candidates", launched as u64);
-    metrics.add("waves", waves as u64);
-    metrics.observe(
-        "waves_per_race",
-        snbc_metrics::buckets::WAVES,
-        waves as f64,
-    );
 
     telemetry.add("candidates_launched", launched as u64);
     telemetry.add("waves", waves as u64);
@@ -286,23 +267,20 @@ mod tests {
         };
         let telemetry = Telemetry::recording();
         let _root = telemetry.span("test");
-        let metrics = Metrics::recording();
+        let metrics = snbc_metrics::Metrics::recording();
         let outcome = race(
             &bench,
             &controller,
             &base,
             &grid,
             &telemetry,
-            &Progress::off(),
-            &metrics,
+            &Progress::custom(Box::new(metrics.clone())),
         );
         let winner = outcome.winner.expect("some candidate certifies");
         assert_eq!(outcome.candidates_launched, 2);
         assert!(outcome.waves >= 2, "setup wave + at least one round");
         let snap = metrics.snapshot(false);
-        assert_eq!(snap.counter("candidates"), 2);
-        assert_eq!(snap.counter("waves"), outcome.waves as u64);
-        assert!(snap.counter("rounds") >= 1, "candidate engines record rounds");
+        assert!(snap.counter("rounds") >= 1, "candidate engines' events fold into rounds");
 
         // The winner's certificate must equal the one the solo driver finds
         // with the same candidate configuration.
@@ -330,7 +308,6 @@ mod tests {
             &grid,
             &telemetry,
             &Progress::off(),
-            &Metrics::off(),
         );
         assert!(outcome.winner.is_none());
         assert_eq!(outcome.candidates_launched, 0);

@@ -3,8 +3,8 @@
 //! mode on) and **canonical** metrics snapshot (`snbc-metrics/1` with
 //! environmental entries stripped) must be byte-identical at `SNBC_THREADS=1`
 //! and `SNBC_THREADS=4`, and again when every job is served from a warm cache
-//! instead of racing — the replayed cache artifacts must reproduce the live
-//! race's stream and counters exactly.
+//! instead of racing — the replayed cache events must reproduce the live
+//! race's stream, and the snapshot folded from them its counters, exactly.
 //!
 //! A single `#[test]` drives all three legs because `snbc_par::set_threads`
 //! is process-global (same shape as `tests/portfolio_determinism.rs`).
@@ -95,7 +95,8 @@ fn canonical_stream_and_snapshot_are_deterministic() {
     snbc_par::set_threads(Some(4));
     let (stream_4cold, canon_4cold, _) = run_leg(&spec, &dir_b);
     // Leg 3: warm cache from leg 1, still four threads — the stored
-    // progress.ndjson / metrics.json artifacts replay instead of racing.
+    // progress.ndjson lines replay instead of racing, and the registry
+    // folds the replay.
     let (stream_warm, canon_warm, full_warm) = run_leg(&spec, &dir_a);
     snbc_par::set_threads(None);
 
